@@ -452,6 +452,124 @@ func BenchmarkBatchParallel(b *testing.B) {
 	})
 }
 
+// BenchmarkPatchedQuery times one read under a live edge patch — the
+// seed-table scans, the overlay's correction Dijkstra and the occasional
+// exact fallback — on a CAL×1 road graph after 1 and after 4 twelve-op
+// update batches (the update mix's patch sizes), with the answer cache
+// off so every iteration is a corrected read. "server" is the engine
+// tier through Server.Query; "router" the same reads through a Router
+// over two shards, which adds the endpoints' row fetches over loopback
+// HTTP.
+func BenchmarkPatchedQuery(b *testing.B) {
+	g, err := chl.GenerateDataset("CAL", 1, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ix, err := chl.Build(g, chl.Options{Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	fx, err := ix.Freeze()
+	if err != nil {
+		b.Fatal(err)
+	}
+	batches := benchPatchBatches(b, g, 4, 12)
+	n := g.NumVertices()
+	rng := rand.New(rand.NewSource(4))
+	pairs := make([][2]int, 4096)
+	for i := range pairs {
+		pairs[i] = [2]int{rng.Intn(n), rng.Intn(n)}
+	}
+	for _, nb := range []int{1, 4} {
+		b.Run(fmt.Sprintf("server/batches=%d", nb), func(b *testing.B) {
+			s := chl.NewServerFromFlat(fx, 0)
+			defer s.Close()
+			if err := s.EnableUpdates(g, ""); err != nil {
+				b.Fatal(err)
+			}
+			for _, batch := range batches[:nb] {
+				if _, err := s.Update(batch); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ResetTimer()
+			var sink float64
+			for i := 0; i < b.N; i++ {
+				p := pairs[i%len(pairs)]
+				sink += s.Query(p[0], p[1])
+			}
+			_ = sink
+		})
+		b.Run(fmt.Sprintf("router/batches=%d", nb), func(b *testing.B) {
+			c := newTestCluster(b, fx, clusterSpec{shards: 2, tweak: func(cfg *chl.RouterConfig) {
+				cfg.BaseGraph = g
+			}})
+			defer c.close()
+			for _, batch := range batches[:nb] {
+				if _, err := c.router.Update(batch); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				p := pairs[i%len(pairs)]
+				if _, err := c.router.Query(p[0], p[1]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// benchPatchBatches derives count valid batches of size ops from g, each
+// applied before the next is drawn: reweights and deletions of existing
+// edges (never a vertex's last one) and insertions of absent edges, in
+// turn, with small integer weights.
+func benchPatchBatches(b *testing.B, g *chl.Graph, count, ops int) [][]chl.EdgeOp {
+	rng := rand.New(rand.NewSource(7))
+	n := g.NumVertices()
+	var out [][]chl.EdgeOp
+	for len(out) < count {
+		touched := map[[2]int]bool{}
+		var batch []chl.EdgeOp
+		for len(batch) < ops {
+			u := rng.Intn(n)
+			var v int
+			if len(batch)%3 == 2 {
+				v = rng.Intn(n)
+				if _, has := g.HasEdge(u, v); has {
+					continue
+				}
+			} else {
+				heads, _ := g.Neighbors(u)
+				if len(heads) < 2 {
+					continue
+				}
+				v = int(heads[rng.Intn(len(heads))])
+			}
+			k := [2]int{min(u, v), max(u, v)}
+			if u == v || touched[k] {
+				continue
+			}
+			touched[k] = true
+			switch len(batch) % 3 {
+			case 0:
+				batch = append(batch, chl.EdgeOp{Kind: chl.EdgeOpSet, U: u, V: v, W: float64(1 + rng.Intn(50))})
+			case 1:
+				batch = append(batch, chl.EdgeOp{Kind: chl.EdgeOpDel, U: u, V: v})
+			default:
+				batch = append(batch, chl.EdgeOp{Kind: chl.EdgeOpAdd, U: u, V: v, W: float64(1 + rng.Intn(50))})
+			}
+		}
+		next, err := chl.ApplyPatch(g, batch)
+		if err != nil {
+			b.Fatal(err)
+		}
+		out, g = append(out, batch), next
+	}
+	return out
+}
+
 func BenchmarkSaveLoad(b *testing.B) {
 	g := benchGraph(b)
 	ix, err := chl.Build(g, chl.Options{Algorithm: chl.AlgoGLL})

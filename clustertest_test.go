@@ -55,7 +55,7 @@ func (c *testCluster) close() {
 
 // newShardProcess starts one serving process over shard sid's slice
 // file.
-func newShardProcess(t *testing.T, dir string, m *shard.Manifest, part *shard.Partition, sid, cacheSize int) *chl.Server {
+func newShardProcess(t testing.TB, dir string, m *shard.Manifest, part *shard.Partition, sid, cacheSize int) *chl.Server {
 	t.Helper()
 	path, err := chl.ShardFilePath(dir+"/"+shard.ManifestName, m, sid)
 	if err != nil {
@@ -73,7 +73,7 @@ func newShardProcess(t *testing.T, dir string, m *shard.Manifest, part *shard.Pa
 
 // newTestCluster splits fx per spec under a temp dir and starts the full
 // serving topology.
-func newTestCluster(t *testing.T, fx *chl.FlatIndex, spec clusterSpec) *testCluster {
+func newTestCluster(t testing.TB, fx *chl.FlatIndex, spec clusterSpec) *testCluster {
 	t.Helper()
 	if spec.replicas < 1 {
 		spec.replicas = 1

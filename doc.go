@@ -200,8 +200,8 @@
 // extends the snapshot identity and the router's singleflight keys the
 // same way content hashes do. In a cluster the router owns the overlay
 // (RouterConfig.BaseGraph / UpdateJournal): shards stay frozen and the
-// router corrects locally against pinned patch-vertex label rows, even
-// for same-shard pairs. POST /compact folds the patches into a fresh
+// router corrects locally against seed tables built from the patch
+// vertices' label rows, even for same-shard pairs. POST /compact folds the patches into a fresh
 // snapshot — rebuild over the patched graph, rename, hot-swap with zero
 // dropped queries, truncate the journal. ARCHITECTURE.md ("Dynamic
 // updates") has the correction math and the operator rules.

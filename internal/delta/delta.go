@@ -362,6 +362,12 @@ func Reduce(base *graph.Graph, ops []Op) (*Reduction, error) {
 // Verts returns the sorted patch vertex ids.
 func (r *Reduction) Verts() []int { return r.verts }
 
+// Slot returns v's index in Verts, and whether v is a patch vertex.
+func (r *Reduction) Slot(v int) (int, bool) {
+	i, ok := r.slot[v]
+	return i, ok
+}
+
 // Empty reports whether the reduction changes nothing: every op
 // cancelled out, so queries can stay on the frozen path.
 func (r *Reduction) Empty() bool { return r.nRem == 0 && r.nIns == 0 }
@@ -420,6 +426,8 @@ type Overlay struct {
 	patchedOnce sync.Once
 	patched     *graph.Graph
 	patchedErr  error
+
+	scratch sync.Pool // *corrScratch for Correct
 }
 
 // NewOverlay builds the overlay for ops (already reduced to red) with
@@ -529,10 +537,21 @@ func (o *Overlay) compromised(dab float64, dax []float64, dyb func(int) float64)
 // seeds is a lower bound L ≤ d'. A seed that passes the safety test
 // equals d_{G−R} and is realizable in G', so the correction Dijkstra
 // over only the SAFE seeds is an upper bound C ≥ d'. When L == C the
-// answer is pinned exactly; only when a compromised seed actually moves
-// the optimum (L < C) does the query fall back — so ubiquitous
-// shortest-path ties in small integer-weighted graphs do not force
-// everything onto the fallback path.
+// answer is pinned exactly.
+//
+// Most reads close the bracket without computing C: the all-seeds
+// Dijkstra records predecessors, and its arg-min path uses at most two
+// seed arcs — the first (u→p, or the direct u→v arc) and the last
+// (p→v); the arcs between patch vertices are exact. Only those arcs are
+// safety-tested. When they pass, the arg-min path is itself a path of
+// safe arcs, so C ≤ L and the bracket closes at L. Dijkstra over
+// float sums is exact for the fold-left path length (addition of a
+// non-negative weight is monotone and never decreasing), so this is
+// the same L == C a full bracket computes, bit for bit. Only when an
+// arc on the arg-min path is compromised does Correct run the full
+// two-Dijkstra bracket (every seed safety-tested, then C) — so
+// ubiquitous shortest-path ties in small integer-weighted graphs do
+// not force everything onto the fallback path either way.
 //
 // exact=false means the bracket did not close and the caller must fall
 // back to Dist/Row on the materialized patched graph. When exact,
@@ -540,44 +559,107 @@ func (o *Overlay) compromised(dab float64, dax []float64, dyb func(int) float64)
 // license to keep serving the frozen witness hub.
 func (o *Overlay) Correct(d0 float64, du, dv []float64) (dist float64, frozen, exact bool) {
 	k := len(o.verts)
-	d0Bad := o.compromised(d0, du, func(y int) float64 { return dv[y] })
+	sc := o.getScratch()
+	defer o.scratch.Put(sc)
+	lower := o.correctionDijkstra(sc, d0, du, dv, false, nil, nil)
+	if lower >= graph.Infinity {
+		// Removing edges cannot create paths, and safe seeds are a
+		// subset: C ≥ L = ∞.
+		return graph.Infinity, false, true
+	}
+	last := int(sc.pred[k+1])
+	if last == 0 {
+		// The direct arc is the arg-min: it relaxed v first, and later
+		// arcs replace it only when strictly shorter, so lower == d0.
+		if !o.d0Compromised(d0, du, dv) {
+			return lower, true, true
+		}
+	} else {
+		first := last
+		for sc.pred[first] != 0 {
+			first = int(sc.pred[first])
+		}
+		// lower < d0 here (see above), so the frozen answer is gone.
+		if !o.duCompromised(first-1, du) && !o.dvCompromised(last-1, dv) {
+			return lower, false, true
+		}
+	}
+	return o.bracket(sc, lower, d0, du, dv)
+}
+
+// bracket is the rest of the full two-Dijkstra form of Correct, given
+// the all-seeds lower bound: safety-test every seed, rerun the
+// correction over the safe ones only (the upper bound C), and accept
+// when it meets the lower bound.
+func (o *Overlay) bracket(sc *corrScratch, lower, d0 float64, du, dv []float64) (dist float64, frozen, exact bool) {
+	k := len(o.verts)
+	d0Bad := o.d0Compromised(d0, du, dv)
 	var duBad, dvBad []bool
 	for j := 0; j < k; j++ {
-		if o.compromised(du[j], du, func(y int) float64 { return o.dpq[y][j] }) {
+		if o.duCompromised(j, du) {
 			if duBad == nil {
 				duBad = make([]bool, k)
 			}
 			duBad[j] = true
 		}
-		if o.compromised(dv[j], o.dpq[j], func(y int) float64 { return dv[y] }) {
+		if o.dvCompromised(j, dv) {
 			if dvBad == nil {
 				dvBad = make([]bool, k)
 			}
 			dvBad[j] = true
 		}
 	}
-	upper := o.correctionDijkstra(d0, du, dv, d0Bad, duBad, dvBad)
-	lower := upper
-	if d0Bad || duBad != nil || dvBad != nil {
-		lower = o.correctionDijkstra(d0, du, dv, false, nil, nil)
-	}
-	if lower != upper {
+	upper := o.correctionDijkstra(sc, d0, du, dv, d0Bad, duBad, dvBad)
+	if upper != lower {
 		return 0, false, false
 	}
-	return upper, upper < graph.Infinity && !d0Bad && upper == d0, true
+	return upper, !d0Bad && upper == d0, true
+}
+
+// d0Compromised, duCompromised and dvCompromised are the safety test
+// for the three kinds of seed arc: the direct u→v arc, u→verts[j] and
+// verts[i]→v.
+func (o *Overlay) d0Compromised(d0 float64, du, dv []float64) bool {
+	return o.compromised(d0, du, func(y int) float64 { return dv[y] })
+}
+
+func (o *Overlay) duCompromised(j int, du []float64) bool {
+	return o.compromised(du[j], du, func(y int) float64 { return o.dpq[y][j] })
+}
+
+func (o *Overlay) dvCompromised(i int, dv []float64) bool {
+	return o.compromised(dv[i], o.dpq[i], func(y int) float64 { return dv[y] })
+}
+
+// corrScratch is one correction Dijkstra's working state over the
+// |P|+2 nodes, pooled per overlay.
+type corrScratch struct {
+	d    []float64
+	done []bool
+	pred []int32
+}
+
+func (o *Overlay) getScratch() *corrScratch {
+	if sc, ok := o.scratch.Get().(*corrScratch); ok {
+		return sc
+	}
+	k := len(o.verts) + 2
+	return &corrScratch{d: make([]float64, k), done: make([]bool, k), pred: make([]int32, k)}
 }
 
 // correctionDijkstra runs the dense Dijkstra over nodes {0:u, 1..k:
-// patch verts, k+1: v}; skip flags drop the corresponding frozen seed
-// arc (nil = keep all).
-func (o *Overlay) correctionDijkstra(d0 float64, du, dv []float64, skipD0 bool, skipU, skipV []bool) float64 {
+// patch verts, k+1: v} and returns d(u,v) on that graph; sc.pred
+// records each reached node's predecessor. Skip flags drop the
+// corresponding frozen seed arc (nil = keep all).
+func (o *Overlay) correctionDijkstra(sc *corrScratch, d0 float64, du, dv []float64, skipD0 bool, skipU, skipV []bool) float64 {
 	const inf = graph.Infinity
 	k := len(o.verts)
 	t := k + 1
-	d := make([]float64, k+2)
-	done := make([]bool, k+2)
+	d, done, pred := sc.d, sc.done, sc.pred
 	for i := range d {
 		d[i] = inf
+		done[i] = false
+		pred[i] = -1
 	}
 	d[0] = 0
 	for {
@@ -594,6 +676,7 @@ func (o *Overlay) correctionDijkstra(d0 float64, du, dv []float64, skipD0 bool, 
 		relax := func(to int, w float64) {
 			if w < inf && best+w < d[to] {
 				d[to] = best + w
+				pred[to] = int32(at)
 			}
 		}
 		switch {
@@ -640,13 +723,15 @@ func (o *Overlay) Row(u int) ([]float64, error) {
 }
 
 // Dist returns the exact patched distance for one pair via the fallback
-// Dijkstra.
+// Dijkstra on the patched graph, stopped as soon as v settles
+// (sssp.DijkstraTo — bit-identical to Row(u)[v], at the cost of the
+// ball around u out to d'(u,v) rather than the whole graph).
 func (o *Overlay) Dist(u, v int) (float64, error) {
-	row, err := o.Row(u)
+	g, err := o.Patched()
 	if err != nil {
 		return 0, err
 	}
-	return row[v], nil
+	return sssp.DijkstraTo(g, u, v), nil
 }
 
 // ShortestPath returns an exact shortest u→v vertex walk on the patched

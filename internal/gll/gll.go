@@ -293,19 +293,31 @@ func (st *State) cleanAndCommit(m *metrics.Build) {
 			return
 		}
 		var qs, es, cl int64
-		out := lv[:0]
-		for _, l := range lv {
+		// Survivors go to fresh storage, allocated at the first
+		// redundant label: other workers' witness queries read lv as
+		// locals[h] while this pass runs, so it must not be compacted
+		// in place.
+		var out label.Set
+		for i, l := range lv {
 			if int(l.Hub) != v {
 				qs++
 				h := int(l.Hub)
-				redundant, e1 := firstWitness(locals[v], locals[h], l.Hub, l.Dist)
+				redundant, e1 := firstWitness(lv, locals[h], l.Hub, l.Dist)
 				es += e1
 				if redundant {
+					if out == nil {
+						out = append(make(label.Set, 0, len(lv)-1), lv[:i]...)
+					}
 					cl++
 					continue
 				}
 			}
-			out = append(out, l)
+			if out != nil {
+				out = append(out, l)
+			}
+		}
+		if out == nil {
+			out = lv
 		}
 		keep[v] = out
 		atomic.AddInt64(&queries, qs)

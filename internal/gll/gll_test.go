@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/metrics"
+	"repro/internal/plant"
 	"repro/internal/pll"
 	"repro/internal/verify"
 )
@@ -111,5 +112,29 @@ func TestDegenerateBudget(t *testing.T) {
 	}
 	if m.Synchronizations < 2 {
 		t.Fatalf("expected many supersteps, got %d", m.Synchronizations)
+	}
+}
+
+// TestParallelCleaningMatchesPLaNT runs four workers over enough
+// supersteps that every cleaning pass has many vertices in flight at
+// once: a worker reads locals[h] for its witness queries while another
+// cleans h. The result must equal PLaNT's labels exactly, and under
+// -race the pass must not write the sets other workers read.
+func TestParallelCleaningMatchesPLaNT(t *testing.T) {
+	g := graph.RoadGrid(24, 24, 3)
+	want, _ := plant.Run(g, plant.Options{Workers: 2})
+	st := NewState(g, Options{Workers: 4, Alpha: 1})
+	m := &metrics.Build{}
+	for !st.Done() {
+		st.Superstep(m)
+	}
+	if st.Steps() < 3 {
+		t.Fatalf("only %d supersteps; the fixture must need several", st.Steps())
+	}
+	if m.LabelsCleaned == 0 {
+		t.Fatal("no label was cleaned; the fixture does not exercise the cleaning pass")
+	}
+	if diff := want.Diff(st.Index()); diff != "" {
+		t.Fatal(diff)
 	}
 }

@@ -7,6 +7,8 @@
 package sssp
 
 import (
+	"sync"
+
 	"repro/internal/graph"
 	"repro/internal/vheap"
 )
@@ -38,6 +40,69 @@ func Dijkstra(g *graph.Graph, source int) []float64 {
 	}
 	return dist
 }
+
+// DijkstraTo returns the shortest-path distance from source to target
+// (graph.Infinity when unreachable), stopping as soon as target settles.
+// It is bit-identical to Dijkstra(g, source)[target]: the two runs pop
+// vertices in the same order up to target, and a settled distance never
+// decreases afterwards (weights are non-negative). The working arrays
+// come from a pool and are reset by touched entries only, so a query
+// that settles target early costs its explored ball, not O(n).
+func DijkstraTo(g *graph.Graph, source, target int) float64 {
+	n := g.NumVertices()
+	s, _ := toPool.Get().(*toScratch)
+	if s == nil || len(s.dist) < n {
+		s = newToScratch(n)
+	}
+	defer func() {
+		for _, v := range s.touched {
+			s.dist[v] = graph.Infinity
+		}
+		s.touched = s.touched[:0]
+		s.heap.Clear()
+		toPool.Put(s)
+	}()
+	dist, h := s.dist, s.heap
+	dist[source] = 0
+	s.touched = append(s.touched, int32(source))
+	h.Push(source, 0)
+	for !h.Empty() {
+		u, du := h.Pop()
+		if u == target {
+			return du
+		}
+		heads, wts := g.Neighbors(u)
+		for i, v := range heads {
+			if nd := du + wts[i]; nd < dist[v] {
+				if dist[v] == graph.Infinity {
+					s.touched = append(s.touched, int32(v))
+				}
+				dist[v] = nd
+				h.Push(int(v), nd)
+			}
+		}
+	}
+	return graph.Infinity
+}
+
+// toScratch is DijkstraTo's reusable working state: a distance array
+// kept all-Infinity between runs, the vertices a run touched, and an
+// indexed heap over the same vertex space.
+type toScratch struct {
+	dist    []float64
+	touched []int32
+	heap    *vheap.Heap
+}
+
+func newToScratch(n int) *toScratch {
+	s := &toScratch{dist: make([]float64, n), heap: vheap.New(n)}
+	for i := range s.dist {
+		s.dist[i] = graph.Infinity
+	}
+	return s
+}
+
+var toPool sync.Pool
 
 // DijkstraReverse computes shortest-path distances *to* target following
 // arcs backwards (equal to Dijkstra on the transpose). For undirected graphs

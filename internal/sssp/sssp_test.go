@@ -1,6 +1,7 @@
 package sssp
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -224,5 +225,59 @@ func TestDeltaSteppingEmptyGraph(t *testing.T) {
 	g := graph.Path(0, 1)
 	if d := DeltaStepping(g, 0, 1); len(d) != 0 {
 		t.Fatalf("empty graph returned %v", d)
+	}
+}
+
+// fractionalGraph is a random graph with non-integer weights, so
+// distance sums round and bit-identity is a real claim.
+func fractionalGraph(n, m int, directed bool, seed int64) *graph.Graph {
+	rng := rand.New(rand.NewSource(seed))
+	b := graph.NewBuilder(n, directed)
+	seen := map[[2]int]bool{}
+	for len(seen) < m {
+		u, v := rng.Intn(n), rng.Intn(n)
+		if !directed && u > v {
+			u, v = v, u
+		}
+		if u == v || seen[[2]int{u, v}] {
+			continue
+		}
+		seen[[2]int{u, v}] = true
+		b.AddEdge(u, v, 0.1+rng.Float64()*7.3)
+	}
+	return b.MustFinish()
+}
+
+// TestDijkstraToMatchesDijkstra: the target-stopped search returns
+// exactly Dijkstra's entry for every (source, target), unreachable
+// targets included, and the pooled scratch carries nothing from one
+// query — or one graph size — to the next.
+func TestDijkstraToMatchesDijkstra(t *testing.T) {
+	graphs := []*graph.Graph{
+		graph.Figure1(),
+		graph.RoadGrid(6, 6, 1),
+		graph.ErdosRenyi(50, 40, 9, 3), // disconnected
+		graph.RandomDirected(40, 90, 9, 4),
+		fractionalGraph(60, 110, false, 5),
+		fractionalGraph(45, 120, true, 6), // directed: some targets unreachable
+		graph.Path(3, 1),                  // smaller than a pooled scratch
+	}
+	unreachable := 0
+	for gi, g := range graphs {
+		for src := 0; src < g.NumVertices(); src++ {
+			want := Dijkstra(g, src)
+			for v := range want {
+				got := DijkstraTo(g, src, v)
+				if math.Float64bits(got) != math.Float64bits(want[v]) {
+					t.Fatalf("graph %d: DijkstraTo(%d,%d) = %v, Dijkstra row has %v", gi, src, v, got, want[v])
+				}
+				if got == graph.Infinity {
+					unreachable++
+				}
+			}
+		}
+	}
+	if unreachable == 0 {
+		t.Fatal("no unreachable pair was checked")
 	}
 }

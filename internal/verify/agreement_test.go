@@ -18,6 +18,7 @@ import (
 	"repro/internal/lcc"
 	"repro/internal/plant"
 	"repro/internal/pll"
+	"repro/internal/sssp"
 	"repro/internal/verify"
 )
 
@@ -126,9 +127,21 @@ func TestCanonicalAgreementDistributed(t *testing.T) {
 
 // TestSparaPLLCoversButMayBeRedundant: the baseline must satisfy the cover
 // property (exact distances) even though its labeling need not be minimal.
+// With one worker it prunes exactly as seqPLL does and must emit the CHL
+// label for label. With several it need not: a tree can be pruned by a
+// label a concurrent, lower-ranked tree has already published, so the
+// labeling may be smaller than the CHL and not hierarchical — a label
+// count compared against the CHL proves nothing either way. What does
+// hold is that every label is a real path length from its hub: never
+// below the true distance.
 func TestSparaPLLCoversButMayBeRedundant(t *testing.T) {
 	for name, g := range testGraphs(t) {
 		t.Run(name, func(t *testing.T) {
+			want := chlReference(t, g)
+			seq, _ := pll.SParaPLL(g, pll.Options{Workers: 1})
+			if diff := want.Diff(seq); diff != "" {
+				t.Fatalf("SparaPLL with one worker differs from CHL: %s", diff)
+			}
 			ix, _ := pll.SParaPLL(g, pll.Options{Workers: 4})
 			if err := ix.Validate(); err != nil {
 				t.Fatal(err)
@@ -136,17 +149,31 @@ func TestSparaPLLCoversButMayBeRedundant(t *testing.T) {
 			if err := verify.Cover(g, ix, 0); err != nil {
 				t.Fatal(err)
 			}
-			want := chlReference(t, g)
-			if ix.TotalLabels() < want.TotalLabels() {
-				t.Fatalf("SparaPLL produced fewer labels (%d) than the CHL (%d) — impossible for a covering labeling that was not cleaned",
-					ix.TotalLabels(), want.TotalLabels())
-			}
+			labelsUpperBound(t, g, ix)
 		})
 	}
 }
 
+// labelsUpperBound checks that every label (h, d) of v is reachable and
+// no shorter than the true distance between v and h — the property any
+// pruned-Dijkstra labeling keeps, however its trees interleave.
+func labelsUpperBound(t *testing.T, g *graph.Graph, ix *label.Index) {
+	t.Helper()
+	for v := 0; v < g.NumVertices(); v++ {
+		dist := sssp.Dijkstra(g, v)
+		for _, l := range ix.Labels(v) {
+			if d := dist[l.Hub]; d >= graph.Infinity || l.Dist < d {
+				t.Fatalf("label (hub %d, %v) of vertex %d is below the true distance %v", l.Hub, l.Dist, v, d)
+			}
+		}
+	}
+}
+
 // TestDParaPLLCovers: the distributed baseline keeps the cover property at
-// any q, with label counts ≥ CHL.
+// any q, and every label is an upper bound on the true distance. Its
+// concurrent trees prune against each other's published labels, as in
+// SparaPLL, so its label count may fall below the CHL's; one node with
+// one worker runs the trees in rank order and must emit the CHL itself.
 func TestDParaPLLCovers(t *testing.T) {
 	for name, g := range testGraphs(t) {
 		for _, q := range []int{1, 3} {
@@ -158,9 +185,16 @@ func TestDParaPLLCovers(t *testing.T) {
 				if err := verify.Cover(g, res.Index, 0); err != nil {
 					t.Fatal(err)
 				}
-				want := chlReference(t, g)
-				if res.Index.TotalLabels() < want.TotalLabels() {
-					t.Fatalf("DparaPLL label count %d below CHL %d", res.Index.TotalLabels(), want.TotalLabels())
+				labelsUpperBound(t, g, res.Index)
+				if q != 1 {
+					return
+				}
+				seq, err := dist.DParaPLL(g, dist.Options{Nodes: 1, WorkersPerNode: 1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if diff := chlReference(t, g).Diff(seq.Index); diff != "" {
+					t.Fatalf("DparaPLL with one node and one worker differs from CHL: %s", diff)
 				}
 			})
 		}

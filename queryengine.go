@@ -411,6 +411,7 @@ type BatchEngine struct {
 	workers int
 	cache   *Cache         // nil: uncached (the default)
 	ov      *delta.Overlay // nil: frozen index only (the default)
+	seeds   *patchSeeder   // ov's seed tables over fx; nil with ov
 }
 
 // NewBatchEngine freezes ix (directed or undirected) and returns a
@@ -462,15 +463,21 @@ func (e *BatchEngine) Cache() *Cache { return e.cache }
 // With an overlay attached, every query routes through the corrected
 // path: the frozen join plus the overlay's patch-seeded correction
 // Dijkstra, falling back to an exact patched-graph Dijkstra for the
-// pairs the correction cannot certify. An attached cache must be
-// scoped to exactly one (index, overlay) pair — Server and Router
-// start a fresh cache on every patch batch, which is what keeps
-// pre-patch answers from outliving the graph they were true of.
+// pairs the correction cannot certify. Attaching builds the overlay's
+// seed tables — the hub-major transpose of the patch vertices' label
+// runs — once, so each read gets its seeds from one scan of L(u) and
+// one of L(v). An attached cache must be scoped to exactly one (index,
+// overlay) pair — Server and Router start a fresh cache on every patch
+// batch, which is what keeps pre-patch answers from outliving the
+// graph they were true of.
 func (e *BatchEngine) SetOverlay(ov *delta.Overlay) {
 	if ov != nil && ov.Empty() {
 		ov = nil
 	}
-	e.ov = ov
+	e.ov, e.seeds = ov, nil
+	if ov != nil {
+		e.seeds = newPatchSeeder(ov, e.fx.NumVertices(), e.fx.Directed(), e.fx.forwardRun, e.fx.backwardRun)
+	}
 }
 
 // Overlay returns the engine's attached delta overlay, or nil.
@@ -506,13 +513,13 @@ func (e *BatchEngine) QueryHub(u, v int) (dist float64, hub int, ok bool) {
 }
 
 // queryHubPatched answers one query against the patched graph: the
-// frozen join supplies the trunk distance and the patch-vertex seeds,
-// the overlay's correction Dijkstra folds the patched edges in, and
-// pairs the correction cannot certify fall back to an exact Dijkstra
-// on the materialized patched graph. The witness hub survives only
-// when the overlay proves the frozen answer still exact (the frozen
-// flag); otherwise the hub is -1 — no hub in the frozen labels is
-// guaranteed to lie on a patched shortest path.
+// frozen join supplies the trunk distance, the seed tables the
+// patch-vertex seeds, the overlay's correction Dijkstra folds the
+// patched edges in, and pairs the correction cannot certify fall back
+// to an exact Dijkstra on the materialized patched graph. The witness
+// hub survives only when the overlay proves the frozen answer still
+// exact (the frozen flag); otherwise the hub is -1 — no hub in the
+// frozen labels is guaranteed to lie on a patched shortest path.
 func (e *BatchEngine) queryHubPatched(u, v int) (dist float64, hub int, ok bool) {
 	d0, h0, ok0 := e.fx.QueryHub(u, v)
 	if !ok0 {
@@ -521,12 +528,7 @@ func (e *BatchEngine) queryHubPatched(u, v int) (dist float64, hub int, ok bool)
 	if u == v {
 		d0, h0, ok0 = 0, u, true
 	}
-	du, dv := e.patchSeeds(u, v)
-	dist, frozen, exact := e.ov.Correct(d0, du, dv)
-	if !exact {
-		dist = mustOverlayDist(e.ov, u, v)
-		frozen = false
-	}
+	dist, frozen := e.seeds.correct(e.patchSeeds(u, v), u, v, d0)
 	if dist >= Infinity {
 		return Infinity, 0, false
 	}
@@ -537,27 +539,84 @@ func (e *BatchEngine) queryHubPatched(u, v int) (dist float64, hub int, ok bool)
 }
 
 // patchSeeds computes the frozen seed vectors for one pair against the
-// overlay's patch vertices: du[i] = frozen d(u, p_i), dv[i] = frozen
-// d(p_i, v), in the overlay's vertex order.
-func (e *BatchEngine) patchSeeds(u, v int) (du, dv []float64) {
-	verts := e.ov.Verts()
-	du = make([]float64, len(verts))
-	dv = make([]float64, len(verts))
-	for i, p := range verts {
-		du[i] = e.frozenDist(u, p)
-		dv[i] = e.frozenDist(p, v)
+// overlay's patch vertices — du[i] = frozen d(u, p_i), dv[i] = frozen
+// d(p_i, v), in the overlay's vertex order — with one seed-table scan
+// of u's forward run and one of v's backward run, in whichever format
+// the index stores them.
+func (e *BatchEngine) patchSeeds(u, v int) *seedBuf {
+	b := e.seeds.buf()
+	fx := e.fx
+	if fx.cflat != nil {
+		e.seeds.toP.SeedsCompressed(b.du, fx.cflat.Run(u))
+		e.seeds.fromP.SeedsCompressed(b.dv, fx.cbackward().Run(v))
+	} else {
+		e.seeds.toP.Seeds(b.du, fx.flat.PackedRun(u))
+		e.seeds.fromP.Seeds(b.dv, fx.backward().PackedRun(v))
 	}
-	return du, dv
+	return b
 }
 
-// frozenDist is one frozen-label distance with the diagonal pinned to
-// zero (a join of a vertex with itself always reports 0, but pinning
-// it keeps the seed vectors independent of label contents).
-func (e *BatchEngine) frozenDist(a, b int) float64 {
-	if a == b {
-		return 0
+// patchSeeder is one patch batch's read-side state, shared by the
+// engine and the router: the overlay plus its seed tables. toP
+// transposes the patch vertices' backward runs (seeds d(u,p)), fromP
+// their forward runs (seeds d(p,v)); on undirected stores the two are
+// one table. Built once per batch, it is immutable and safe for
+// concurrent readers; the seed vectors come from a pool.
+type patchSeeder struct {
+	ov         *delta.Overlay
+	toP, fromP *label.SeedTable
+	bufs       sync.Pool // *seedBuf
+}
+
+// seedBuf holds one read's seed vectors, len |P| each.
+type seedBuf struct{ du, dv []float64 }
+
+// newPatchSeeder builds the seed tables of ov over an n-vertex store
+// whose packed runs fwdRun and bwdRun return (the same function on
+// undirected stores is fine: one table is built).
+func newPatchSeeder(ov *delta.Overlay, n int, directed bool, fwdRun, bwdRun func(v int) []uint64) *patchSeeder {
+	runs := func(run func(int) []uint64) [][]uint64 {
+		out := make([][]uint64, len(ov.Verts()))
+		for i, p := range ov.Verts() {
+			out[i] = run(p)
+		}
+		return out
 	}
-	return e.fx.Query(a, b)
+	ps := &patchSeeder{ov: ov, toP: label.NewSeedTable(n, runs(bwdRun))}
+	ps.fromP = ps.toP
+	if directed {
+		ps.fromP = label.NewSeedTable(n, runs(fwdRun))
+	}
+	return ps
+}
+
+// buf returns a seed buffer sized for the overlay.
+func (ps *patchSeeder) buf() *seedBuf {
+	if b, ok := ps.bufs.Get().(*seedBuf); ok {
+		return b
+	}
+	k := len(ps.ov.Verts())
+	return &seedBuf{du: make([]float64, k), dv: make([]float64, k)}
+}
+
+// correct finishes one patched read from its seeds: it pins the
+// diagonal (a patch endpoint is at distance 0 from itself, whatever its
+// labels hold), runs the overlay's correction, and falls back to the
+// exact patched-graph distance when the correction cannot certify one.
+// b goes back to the pool.
+func (ps *patchSeeder) correct(b *seedBuf, u, v int, d0 float64) (dist float64, frozen bool) {
+	if i, ok := ps.ov.Slot(u); ok {
+		b.du[i] = 0
+	}
+	if i, ok := ps.ov.Slot(v); ok {
+		b.dv[i] = 0
+	}
+	dist, frozen, exact := ps.ov.Correct(d0, b.du, b.dv)
+	ps.bufs.Put(b)
+	if !exact {
+		return mustOverlayDist(ps.ov, u, v), false
+	}
+	return dist, frozen
 }
 
 // mustOverlayDist is Overlay.Dist for overlays past construction: the

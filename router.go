@@ -176,13 +176,14 @@ type Router struct {
 type routerState struct {
 	idents [][]genObs // [shard][replica]
 	cache  *Cache
-	// patch is the outstanding delta overlay plus its pinned patch-vertex
-	// label rows (nil when no edge updates are outstanding). It rides the
-	// state pointer so a patch batch swaps overlay and cache in one
-	// atomic publish: every query sees a coherent (overlay, cache) pair,
-	// and the fresh cache instance is the patch-epoch discriminant that
-	// retires pre-patch answers exactly once per batch.
-	patch *routerPatch
+	// patch is the outstanding delta overlay plus the seed tables built
+	// from its patch vertices' label rows (nil when no edge updates are
+	// outstanding). It rides the state pointer so a patch batch swaps
+	// overlay and cache in one atomic publish: every query sees a
+	// coherent (overlay, cache) pair, and the fresh cache instance is
+	// the patch-epoch discriminant that retires pre-patch answers
+	// exactly once per batch.
+	patch *patchSeeder
 }
 
 // patchEpoch returns the state's overlay epoch (0 = no outstanding

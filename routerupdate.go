@@ -15,13 +15,16 @@ import (
 // they serve the mmap'd index files they were built from and never see
 // a patch — so the router owns the whole correction: it keeps the
 // accumulated patch log, builds a delta overlay against the base graph
-// (RouterConfig.BaseGraph), pins the label rows of every patch vertex
-// at patch-apply time, and corrects each query locally by joining the
-// endpoints' fetched rows against the pinned rows. The math is the one
-// the single-process engine uses (delta.Overlay.Correct — see
-// ARCHITECTURE.md "Dynamic updates"); only the frozen-distance plumbing
-// differs: where the engine calls FlatIndex.QueryHub, the router calls
-// label.JoinPacked on packed runs it fetched over the shard protocol.
+// (RouterConfig.BaseGraph), fetches the label rows of every patch
+// vertex at patch-apply time and transposes them into the batch's seed
+// tables, and corrects each query locally from the endpoints' fetched
+// rows. The read path is the engine's: the same patchSeeder turns one
+// scan of each endpoint row into the seed vectors and runs
+// delta.Overlay.Correct with the same fallback (see ARCHITECTURE.md
+// "Dynamic updates"). Only where the rows come from differs: the
+// engine reads its own store, the router packed runs fetched over the
+// shard protocol, and the router joins the pair itself with
+// label.JoinPacked where the engine calls FlatIndex.QueryHub.
 //
 // The overlay rides the routerState pointer, so a patch batch swaps
 // overlay and answer cache in one atomic publish, and the overlay epoch
@@ -34,15 +37,6 @@ import (
 // server, which refuses to reload under outstanding patches; the router
 // cannot refuse (shards reload out from under it), so this is a
 // documented operator rule instead.
-
-// routerPatch is the router's per-patch-batch correction state: the
-// overlay plus the pinned packed label rows of every patch vertex,
-// keyed by original vertex id. bwd aliases fwd on undirected clusters.
-type routerPatch struct {
-	ov  *delta.Overlay
-	fwd map[int][]uint64
-	bwd map[int][]uint64
-}
 
 // errRouterUpdatesDisabled distinguishes "no base graph configured"
 // (409) from a bad patch (400) in handleUpdate.
@@ -128,9 +122,10 @@ func (r *Router) applyPatchOpsLocked(ops []EdgeOp, journal bool) (delta.Stats, e
 	}
 	r.patchOps = combined
 	r.patchBatches++
-	var rp *routerPatch
+	var rp *patchSeeder
 	if !ov.Empty() {
-		rp = &routerPatch{ov: ov, fwd: fwd, bwd: bwd}
+		rp = newPatchSeeder(ov, r.n, r.directed,
+			func(v int) []uint64 { return fwd[v] }, func(v int) []uint64 { return bwd[v] })
 	}
 	for {
 		st := r.state.Load()
@@ -193,9 +188,9 @@ func (r *Router) fetchPatchRows(verts []int) (fwd, bwd map[int][]uint64, err err
 }
 
 // routePatchedQueryHub is the leader's half of queryHub under a delta
-// overlay: fetch the endpoints' rows, join them against each other and
-// against the pinned patch-vertex rows for the correction seeds, and
-// run the same Correct/fallback bracket the engine tier runs. Even
+// overlay: fetch the endpoints' rows, join them against each other,
+// scan each once against the batch's seed tables for the correction
+// seeds, and run the same Correct/fallback the engine tier runs. Even
 // same-shard pairs take this path — the shard's own /dist would answer
 // from frozen labels, which is exactly what the overlay must correct.
 // The witness hub is served only when the overlay certifies the frozen
@@ -250,28 +245,10 @@ func (r *Router) routePatchedQueryHub(st *routerState, u, v int, needHub bool) f
 	if u == v {
 		d0, ok0 = 0, true
 	}
-	verts := p.ov.Verts()
-	du := make([]float64, len(verts))
-	dv := make([]float64, len(verts))
-	for i, pv := range verts {
-		du[i] = Infinity
-		if pv == u {
-			du[i] = 0
-		} else if d, _, ok := label.JoinPacked(rowU, p.bwd[pv]); ok {
-			du[i] = d
-		}
-		dv[i] = Infinity
-		if pv == v {
-			dv[i] = 0
-		} else if d, _, ok := label.JoinPacked(p.fwd[pv], rowV); ok {
-			dv[i] = d
-		}
-	}
-	dist, frozen, exact := p.ov.Correct(d0, du, dv)
-	if !exact {
-		dist = mustOverlayDist(p.ov, u, v)
-		frozen = false
-	}
+	b := p.buf()
+	p.toP.Seeds(b.du, rowU)
+	p.fromP.Seeds(b.dv, rowV)
+	dist, frozen := p.correct(b, u, v, d0)
 	if dist >= Infinity {
 		r.cachePut(st, obs, u, v, Answer{Dist: Infinity, Hub: hubUnknown, Reachable: false})
 		return flightResult{dist: Infinity, hub: 0, ok: false}
