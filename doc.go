@@ -177,7 +177,9 @@
 // (dist, hub) pairs QueryHub would answer. Distance matrices
 // (FlatIndex.MatrixRows, Router.Matrix, POST /matrix) scatter each
 // source run once and probe every target in a single pass, streamed
-// as NDJSON one row at a time so neither end materializes the matrix.
+// as NDJSON one row at a time so neither end materializes the matrix;
+// the router crosses to each shard once per block of sources and holds
+// one block at a time.
 // On the router, /paths fills the answer cache with its segments,
 // /knn deposits its results as pair answers, and /matrix bypasses the
 // cache; a parity harness pins all three bit-identical to an

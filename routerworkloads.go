@@ -1,7 +1,7 @@
 package chl
 
 import (
-	"encoding/json"
+	"encoding/base64"
 	"fmt"
 	"net/http"
 	"sort"
@@ -231,12 +231,13 @@ func (r *Router) routeKNN(u, k int) ([]Neighbor, error) {
 // len(targets) distances (Infinity for unreachable), exactly as
 // FlatIndex.MatrixRows does on an unsharded index. The router fetches
 // every source's forward run up front — batched, one /shardquery per
-// owning shard — then, per source, fans the run out to the shards
-// owning targets (/shardscan with the target fragment each shard owns)
-// and assembles the row in target order. The row slice is reused
-// between emits: the matrix itself is never materialized at the
-// router, which is what keeps a many-to-many query's memory at one
-// row.
+// owning shard — then cuts the sources into blocks (matrixBlockEnd)
+// and, per block, ships the block's runs to each shard owning targets
+// in one /shardscan, concurrently, with the target fragment that shard
+// owns. It assembles the block's rows in target order and emits them
+// one at a time. Row slices are reused between blocks: the matrix
+// itself is never materialized at the router, which keeps a
+// many-to-many query's memory at one block.
 //
 // Matrix answers are deliberately not cached: a sources×targets sweep
 // would evict the cache's working set with hub-less entries /batch can
@@ -335,47 +336,88 @@ func (r *Router) Matrix(sources, targets []int, emit func(u int, dists []float64
 		tgtIDs[sid] = ids
 	}
 
-	row := make([]float64, len(targets))
-	for _, u := range sources {
-		req := shardScanRequest{Run: encodePackedRun(rowsF[u]), Exclude: -1}
-		var rwg sync.WaitGroup
+	width := len(targets)
+	var cells []float64 // the current block's rows, row-major
+	for start := 0; start < len(sources); {
+		block := sources[start:matrixBlockEnd(sources, start, width, rowsF)]
+		runs := make([]string, len(block))
+		for i, u := range block {
+			runs[i] = encodePackedRun(rowsF[u])
+		}
+		if cap(cells) < len(block)*width {
+			cells = make([]float64, len(block)*width)
+		}
+		cells = cells[:len(block)*width]
+		// Each shard fills only the columns of the targets it owns, so
+		// the goroutines write disjoint cells.
 		for sid := range tgtPos {
-			rwg.Add(1)
+			wg.Add(1)
 			go func(sid int) {
-				defer rwg.Done()
-				sreq := req
-				sreq.Targets = tgtIDs[sid]
-				resp := r.shardScan(sid, sreq, so)
+				defer wg.Done()
+				resp := r.shardScan(sid, shardScanRequest{Runs: runs, Targets: tgtIDs[sid]}, so)
 				if resp == nil {
 					return
 				}
 				pos := tgtPos[sid]
-				if len(resp.Dists) != len(pos) {
+				if !fragmentsShaped(resp.Rows, len(block), len(pos)) {
 					so.observe(repRef{}, genObs{}, &ShardError{Shard: sid, Replica: -1, Addr: r.shards[sid].addrList(),
-						Err: fmt.Errorf("scan of %d targets answered with %d distances", len(pos), len(resp.Dists))})
+						Err: fmt.Errorf("scan of %d runs × %d targets answered with a misshapen block", len(block), len(pos))})
 					return
 				}
-				mu.Lock()
-				for i, j := range pos {
-					d := resp.Dists[i]
-					if d == -1 {
-						d = Infinity
+				for i, frag := range resp.Rows {
+					row := cells[i*width : (i+1)*width]
+					for k, j := range pos {
+						d := frag[k]
+						if d == -1 {
+							d = Infinity
+						}
+						row[j] = d
 					}
-					row[j] = d
 				}
-				mu.Unlock()
 			}(sid)
 		}
-		rwg.Wait()
+		wg.Wait()
 		if err := so.err(); err != nil {
 			return err
 		}
-		if err := emit(u, row); err != nil {
-			return err
+		for i, u := range block {
+			if err := emit(u, cells[i*width:(i+1)*width]); err != nil {
+				return err
+			}
 		}
+		start += len(block)
 	}
 	r.noteGenerations(so.obs)
 	return nil
+}
+
+// matrixBlockEnd returns the end of the block that starts at
+// sources[start]: the longest stretch of consecutive sources whose rows
+// × width cells fit matrixBlockCells and whose encoded runs fit
+// matrixBlockRunBytes, and never less than one source.
+func matrixBlockEnd(sources []int, start, width int, runs map[int][]uint64) int {
+	end, size := start+1, base64.StdEncoding.EncodedLen(8*len(runs[sources[start]]))
+	for ; end < len(sources); end++ {
+		size += base64.StdEncoding.EncodedLen(8 * len(runs[sources[end]]))
+		if (end-start+1)*width > matrixBlockCells || size > matrixBlockRunBytes {
+			break
+		}
+	}
+	return end
+}
+
+// fragmentsShaped reports whether a matrix block's answer has one row
+// fragment per run, each with one cell per target.
+func fragmentsShaped(rows [][]float64, runs, targets int) bool {
+	if len(rows) != runs {
+		return false
+	}
+	for _, frag := range rows {
+		if len(frag) != targets {
+			return false
+		}
+	}
+	return true
 }
 
 // --- HTTP handlers ---
@@ -430,13 +472,11 @@ func (r *Router) handleKNN(w http.ResponseWriter, req *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"u": u, "k": k, "neighbors": neighbors})
 }
 
-// handleMatrix streams the matrix as NDJSON in the exact shape the
-// single-process Server serves (see streamMatrix): a header line, then
-// one flushed line per source row, -1 for unreachable. The header is
-// written lazily on the first row so a prefetch failure still gets a
-// proper error status; a shard failure after streaming has begun
-// terminates the stream with an {"error": ...} line instead — the
-// status line is long gone.
+// handleMatrix streams the matrix in the exact bytes the single-process
+// Server serves (streamMatrix). A failure before the first row, such as
+// a failed prefetch, still gets a proper error status; a shard failure
+// after streaming has begun ends the stream with an {"error": ...}
+// line instead, since the status line is long gone.
 func (r *Router) handleMatrix(w http.ResponseWriter, req *http.Request) {
 	if req.Method != http.MethodPost {
 		httpError(w, http.StatusMethodNotAllowed, "POST a JSON {\"sources\":[...],\"targets\":[...]} body")
@@ -446,39 +486,7 @@ func (r *Router) handleMatrix(w http.ResponseWriter, req *http.Request) {
 	if !ok {
 		return
 	}
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	headerWritten := false
-	wire := make([]float64, len(mreq.Targets))
-	err := r.Matrix(mreq.Sources, mreq.Targets, func(u int, dists []float64) error {
-		if !headerWritten {
-			headerWritten = true
-			w.Header().Set("Content-Type", "application/x-ndjson")
-			enc.Encode(map[string]any{"targets": mreq.Targets, "rows": len(mreq.Sources)})
-			if flusher != nil {
-				flusher.Flush()
-			}
-		}
-		for i, d := range dists {
-			if d == Infinity {
-				wire[i] = -1 // JSON has no +Inf
-			} else {
-				wire[i] = d
-			}
-		}
-		if err := enc.Encode(map[string]any{"u": u, "dists": wire}); err != nil {
-			return err
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-		return nil
-	})
-	if err != nil {
-		if !headerWritten {
-			routeError(w, err)
-			return
-		}
-		enc.Encode(map[string]any{"error": err.Error()})
+	if err := streamMatrix(w, mreq, r.Matrix); err != nil {
+		routeError(w, err)
 	}
 }

@@ -1334,8 +1334,8 @@ func decodeMatrixBody(w http.ResponseWriter, r *http.Request, n int) (matrixRequ
 }
 
 // handleMatrix streams the sources × targets distance matrix as
-// NDJSON: one header line {"targets":[...],"rows":N}, then one line
-// {"u":u,"dists":[...]} per source (-1 marks unreachable pairs), each
+// NDJSON: one header line {"rows":N,"targets":[...]}, then one line
+// {"dists":[...],"u":u} per source (-1 marks unreachable pairs), each
 // flushed as it is written. The response never materializes more than
 // one row — a many-to-many query over a large index streams in
 // constant memory at both ends.
@@ -1354,83 +1354,130 @@ func (s *Server) handleMatrix(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.queries.Add(int64(len(req.Sources)) * int64(len(req.Targets)))
-	streamMatrix(w, sn.eng, req)
+	if err := streamMatrix(w, req, sn.eng.MatrixRows); err != nil {
+		httpError(w, http.StatusInternalServerError, err.Error())
+	}
 }
 
-// matrixRower streams matrix rows; FlatIndex answers from the frozen
-// kernels, BatchEngine additionally corrects under a delta overlay.
-type matrixRower interface {
-	MatrixRows(sources, targets []int, emit func(u int, dists []float64) error) error
-}
+// The /matrix NDJSON lines. Field order is wire order.
+type (
+	matrixHeader struct {
+		Rows    int   `json:"rows"`
+		Targets []int `json:"targets"`
+	}
+	matrixRow struct {
+		Dists []float64 `json:"dists"`
+		U     int       `json:"u"`
+	}
+	matrixError struct {
+		Error string `json:"error"`
+	}
+)
 
-// streamMatrix writes the NDJSON matrix stream over fx; shared shape
-// with the router's handler so both tiers speak one protocol.
-func streamMatrix(w http.ResponseWriter, fx matrixRower, req matrixRequest) {
-	w.Header().Set("Content-Type", "application/x-ndjson")
+// streamMatrix writes one /matrix response from rows, a MatrixRows-shaped
+// producer (BatchEngine.MatrixRows, Router.Matrix): the single stream
+// writer behind both tiers, so both put the same bytes on the wire. The
+// header goes out with the first row, so a producer that fails before
+// emitting anything gets its error returned for the caller to answer
+// with a status. A failure after rows have flushed can no longer change
+// the status; it ends the stream with a terminal {"error": ...} line.
+func streamMatrix(w http.ResponseWriter, req matrixRequest, rows func(sources, targets []int, emit func(u int, dists []float64) error) error) error {
 	flusher, _ := w.(http.Flusher)
 	enc := json.NewEncoder(w)
-	enc.Encode(map[string]any{"targets": req.Targets, "rows": len(req.Sources)})
-	if flusher != nil {
-		flusher.Flush()
-	}
-	wire := make([]float64, len(req.Targets))
-	fx.MatrixRows(req.Sources, req.Targets, func(u int, dists []float64) error {
-		for i, d := range dists {
-			if d == Infinity {
-				wire[i] = -1 // JSON has no +Inf
-			} else {
-				wire[i] = d
-			}
-		}
-		if err := enc.Encode(map[string]any{"u": u, "dists": wire}); err != nil {
+	line := func(v any) error {
+		if err := enc.Encode(v); err != nil {
 			return err
 		}
 		if flusher != nil {
 			flusher.Flush()
 		}
 		return nil
+	}
+	started := false
+	wire := &matrixRow{Dists: make([]float64, len(req.Targets))}
+	err := rows(req.Sources, req.Targets, func(u int, dists []float64) error {
+		if !started {
+			started = true
+			w.Header().Set("Content-Type", "application/x-ndjson")
+			if err := line(matrixHeader{Rows: len(req.Sources), Targets: req.Targets}); err != nil {
+				return err
+			}
+		}
+		for i, d := range dists {
+			if d == Infinity {
+				wire.Dists[i] = -1 // JSON has no +Inf
+			} else {
+				wire.Dists[i] = d
+			}
+		}
+		wire.U = u
+		return line(wire)
 	})
+	if err != nil && started {
+		enc.Encode(matrixError{Error: err.Error()})
+		return nil
+	}
+	return err
 }
 
-// shardScanRequest is the router-facing /shardscan body: one source
-// label run shipped to the shard, scanned against the shard's owned
-// vertices — its slice of the inverted index when K > 0 (top-k
-// candidates), its targets' backward runs when Targets is set (one
-// matrix-row fragment). Exclude names a vertex the scan must omit (the
-// source itself); it defaults to -1 (omit nothing).
+// A matrix block is the stretch of consecutive sources the router ships
+// to every target-owning shard in one /shardscan. Two budgets bound it:
+// matrixBlockCells caps its rows × targets, which is what the router
+// and each shard hold for one block; matrixBlockRunBytes caps its
+// base64 source runs, keeping the request body well under
+// maxBatchBytes. One source row is always a valid block, however many
+// targets it has.
+const (
+	matrixBlockCells    = 1 << 15
+	matrixBlockRunBytes = maxBatchBytes / 4
+)
+
+// shardScanRequest is the router-facing /shardscan body, in one of two
+// modes. A k-NN scan ships one source label run (Run) with K > 0; the
+// shard scans its slice of the inverted index for its top-k candidates,
+// omitting Exclude (the source itself; it defaults to -1, omit
+// nothing). A matrix block ships Runs, one source run per block row in
+// row order, plus Targets, the block's targets this shard owns; the
+// shard answers one row fragment per run. Runs are base64 packed runs
+// (encodePackedRun), and a block of more than one run stays within
+// matrixBlockCells.
 type shardScanRequest struct {
-	Run     string `json:"run"`
-	K       int    `json:"k,omitempty"`
-	Exclude int    `json:"exclude"`
-	Targets []int  `json:"targets,omitempty"`
+	Run     string   `json:"run,omitempty"`
+	K       int      `json:"k,omitempty"`
+	Exclude int      `json:"exclude"`
+	Runs    []string `json:"runs,omitempty"`
+	Targets []int    `json:"targets,omitempty"`
 }
 
 // shardScanResponse carries the scan results plus the same snapshot
 // identity stamps as /shardquery, so the router's cache retirement
 // sees scans too. Neighbor hubs are already resolved to original ids
-// (the permutation is global and identical in every shard file).
-// Dists uses -1 for unreachable, as every wire format here does.
+// (the permutation is global and identical in every shard file). Rows
+// holds a matrix block's fragments, Rows[i][j] the distance from
+// Runs[i] to Targets[j], -1 for unreachable as every wire format here
+// uses.
 type shardScanResponse struct {
-	Generation uint64     `json:"generation"`
-	Epoch      uint64     `json:"epoch"`
-	Ident      uint64     `json:"ident"`
-	Vertices   int        `json:"n"`
-	Directed   bool       `json:"directed,omitempty"`
-	Neighbors  []Neighbor `json:"neighbors,omitempty"`
-	Dists      []float64  `json:"dists,omitempty"`
+	Generation uint64      `json:"generation"`
+	Epoch      uint64      `json:"epoch"`
+	Ident      uint64      `json:"ident"`
+	Vertices   int         `json:"n"`
+	Directed   bool        `json:"directed,omitempty"`
+	Neighbors  []Neighbor  `json:"neighbors,omitempty"`
+	Rows       [][]float64 `json:"rows,omitempty"`
 }
 
 // handleShardScan serves the internal scan protocol behind the
-// router's /knn and /matrix: the router fetches the source's forward
-// run once, then ships it to the shards owning the candidates, and
-// each shard scans only its own label rows.
+// router's /knn and /matrix: the router fetches source forward runs
+// once, then ships them to the shards owning the candidates, and each
+// shard scans only its own label rows. A matrix block validates its
+// targets once and probes every run with one scratch table.
 func (s *Server) handleShardScan(w http.ResponseWriter, r *http.Request) {
 	if s.part == nil {
 		httpError(w, http.StatusNotFound, "shardscan is only served by shard servers (started with a cluster manifest)")
 		return
 	}
 	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST a JSON {\"run\":...,\"k\":...,\"targets\":[...]} body")
+		httpError(w, http.StatusMethodNotAllowed, "POST a JSON {\"run\":...,\"k\":...} or {\"runs\":[...],\"targets\":[...]} body")
 		return
 	}
 	req := shardScanRequest{Exclude: -1}
@@ -1440,45 +1487,77 @@ func (s *Server) handleShardScan(w http.ResponseWriter, r *http.Request) {
 		if _, tooLarge := err.(*http.MaxBytesError); tooLarge {
 			code = http.StatusRequestEntityTooLarge
 		}
-		httpError(w, code, "body must be a JSON object {\"run\":...,\"k\":...,\"targets\":[...]}: "+err.Error())
+		httpError(w, code, "body must be a JSON object {\"run\":...,\"k\":...} or {\"runs\":[...],\"targets\":[...]}: "+err.Error())
 		return
 	}
 	sn := s.Acquire()
 	defer sn.Release()
 	n := sn.fx.NumVertices()
-	run, err := decodePackedRun(req.Run, n)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	if req.K < 0 || req.K > n {
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("k must be in [0,%d]", n))
-		return
-	}
 	resp := shardScanResponse{Generation: sn.gen, Epoch: s.epoch, Ident: sn.ident, Vertices: n, Directed: sn.fx.Directed()}
-	if req.K > 0 {
-		resp.Neighbors = sn.fx.KNNFromRun(run, req.K, req.Exclude)
-	}
-	if len(req.Targets) > 0 {
-		for _, t := range req.Targets {
-			if t < 0 || t >= n {
-				httpError(w, http.StatusBadRequest, fmt.Sprintf("vertex id %d out of range [0,%d)", t, n))
-				return
-			}
-			if !s.owns(t) {
-				s.misdirected(w, t)
-				return
-			}
+	if len(req.Runs) == 0 {
+		if len(req.Targets) > 0 {
+			httpError(w, http.StatusBadRequest, "targets need a block of runs")
+			return
 		}
-		resp.Dists = make([]float64, len(req.Targets))
-		sn.fx.MatrixRowInto(label.NewQueryScratch(n), resp.Dists, run, req.Targets)
-		for i, d := range resp.Dists {
+		run, err := decodePackedRun(req.Run, n)
+		if err != nil {
+			httpError(w, http.StatusBadRequest, err.Error())
+			return
+		}
+		if req.K < 0 || req.K > n {
+			httpError(w, http.StatusBadRequest, fmt.Sprintf("k must be in [0,%d]", n))
+			return
+		}
+		if req.K > 0 {
+			resp.Neighbors = sn.fx.KNNFromRun(run, req.K, req.Exclude)
+		}
+		s.queries.Add(1)
+		writeJSON(w, http.StatusOK, resp)
+		return
+	}
+
+	if req.Run != "" || req.K != 0 {
+		httpError(w, http.StatusBadRequest, "runs (a matrix block) cannot be combined with run or k (a k-NN scan)")
+		return
+	}
+	if len(req.Targets) == 0 {
+		httpError(w, http.StatusBadRequest, "a block of runs needs targets")
+		return
+	}
+	if len(req.Runs) > 1 && len(req.Runs)*len(req.Targets) > matrixBlockCells {
+		httpError(w, http.StatusBadRequest, fmt.Sprintf("block of %d runs × %d targets exceeds %d cells", len(req.Runs), len(req.Targets), matrixBlockCells))
+		return
+	}
+	for _, t := range req.Targets {
+		if t < 0 || t >= n {
+			httpError(w, http.StatusBadRequest, fmt.Sprintf("vertex id %d out of range [0,%d)", t, n))
+			return
+		}
+		if !s.owns(t) {
+			s.misdirected(w, t)
+			return
+		}
+	}
+	sc := label.NewQueryScratch(n)
+	width := len(req.Targets)
+	cells := make([]float64, len(req.Runs)*width)
+	resp.Rows = make([][]float64, len(req.Runs))
+	for i, enc := range req.Runs {
+		run, err := decodePackedRun(enc, n)
+		if err != nil {
+			httpError(w, http.StatusBadRequest, fmt.Sprintf("runs[%d]: %v", i, err))
+			return
+		}
+		row := cells[i*width : (i+1)*width : (i+1)*width]
+		sn.fx.MatrixRowInto(sc, row, run, req.Targets)
+		for j, d := range row {
 			if d == Infinity {
-				resp.Dists[i] = -1
+				row[j] = -1
 			}
 		}
+		resp.Rows[i] = row
 	}
-	s.queries.Add(1)
+	s.queries.Add(int64(len(req.Runs)))
 	writeJSON(w, http.StatusOK, resp)
 }
 

@@ -134,9 +134,10 @@ func TestKNNFreshAfterReload(t *testing.T) {
 // streaming error contract: when the shard owning some targets dies
 // after rows have been streamed (status line long gone, every replica
 // down), the stream must end with a terminal {"error": ...} NDJSON line
-// — not hang, not trail off mid-stream as if complete. The audit found
-// handleMatrix already emits the terminal line; this test keeps it
-// that way.
+// — not hang, not trail off mid-stream as if complete. The router
+// crosses to each shard once per block of sources, so the shard dies
+// after serving the first block: the stream is the header, that
+// block's rows, then the error line.
 func TestRouterMatrixMidStreamShardDeath(t *testing.T) {
 	g := chl.GenerateRandom(240, 400, 9, 3)
 	_, fx := buildFrozen(t, g)
@@ -150,12 +151,19 @@ func TestRouterMatrixMidStreamShardDeath(t *testing.T) {
 	if len(byOwner[0]) < 2 || len(byOwner[1]) < 2 {
 		t.Fatalf("degenerate partition: %d/%d vertices", len(byOwner[0]), len(byOwner[1]))
 	}
-	// Two sources and targets on both shards: every row fans a
-	// /shardscan to each shard. Shard 0's only replica serves exactly
-	// one scan — source 1's row — then dies, so source 2's row fails
-	// with all of shard 0's replicas down.
-	sources := []int{byOwner[1][0], byOwner[1][1]}
-	targets := []int{byOwner[0][0], byOwner[0][1], byOwner[1][0], byOwner[1][1]}
+	// Targets on both shards, so every block fans a /shardscan to each
+	// shard, and sources (all on shard 1) for one full block plus a few
+	// rows. Shard 0's only replica serves exactly one scan — the first
+	// block — then dies, so the second block fails with all of shard
+	// 0's replicas down.
+	var sources, targets []int
+	for i := 0; i < 64; i++ {
+		targets = append(targets, byOwner[i%2][i/2%len(byOwner[i%2])])
+	}
+	blockRows := chl.MatrixBlockCells / len(targets)
+	for i := 0; i < blockRows+3; i++ {
+		sources = append(sources, byOwner[1][i%len(byOwner[1])])
+	}
 	orig := *c.flaky[0][0].inner.Load()
 	var scans atomic.Int32
 	var oneScan http.Handler = http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
@@ -188,22 +196,25 @@ func TestRouterMatrixMidStreamShardDeath(t *testing.T) {
 	if err := sc.Err(); err != nil {
 		t.Fatalf("reading stream: %v", err)
 	}
-	// Exactly: header, source 1's row, terminal error line.
-	if len(lines) != 3 {
-		t.Fatalf("stream has %d lines, want header + 1 row + terminal error: %v", len(lines), lines)
+	// Exactly: header, the first block's rows, terminal error line.
+	if len(lines) != blockRows+2 {
+		t.Fatalf("stream has %d lines, want header + %d rows + terminal error", len(lines), blockRows)
 	}
 	if _, ok := lines[0]["targets"]; !ok {
 		t.Fatalf("first line is not the header: %v", lines[0])
 	}
-	if u, ok := lines[1]["u"].(float64); !ok || int(u) != sources[0] {
-		t.Fatalf("second line is not source %d's row: %v", sources[0], lines[1])
+	for i, u := range sources[:blockRows] {
+		if got, ok := lines[1+i]["u"].(float64); !ok || int(got) != u {
+			t.Fatalf("line %d is not source %d's row: %v", 1+i, u, lines[1+i])
+		}
 	}
-	errMsg, ok := lines[2]["error"].(string)
+	last := lines[len(lines)-1]
+	errMsg, ok := last["error"].(string)
 	if !ok || errMsg == "" {
-		t.Fatalf("stream did not terminate with an error line: %v", lines[2])
+		t.Fatalf("stream did not terminate with an error line: %v", last)
 	}
-	if _, hasRow := lines[2]["u"]; hasRow {
-		t.Fatalf("terminal error line carries row fields: %v", lines[2])
+	if _, hasRow := last["u"]; hasRow {
+		t.Fatalf("terminal error line carries row fields: %v", last)
 	}
 }
 
