@@ -8,26 +8,17 @@ import (
 	"strings"
 )
 
-// handlerFiles are the root package's handler-bearing files: the files
-// where HTTP responses are written and the JSON error contract
-// therefore applies.
-var handlerFiles = map[string]bool{
-	"serve.go":           true,
-	"router.go":          true,
-	"routerupdate.go":    true,
-	"routerworkloads.go": true,
-	"shaping.go":         true,
-}
-
 // errHelpers are the sanctioned response writers. httpError and
 // writeJSON take the status as their second argument; writeShed is the
-// 429 contract (status fixed inside); routeError maps routing failures.
-// Their own bodies are the one place WriteHeader may be called.
+// 429 contract (status fixed inside); writeError maps typed errors to
+// statuses, each written as a constant through httpError/writeJSON so
+// this analyzer checks every one. Their own bodies are the one place
+// WriteHeader may be called.
 var errHelpers = map[string]bool{
 	"httpError":  true,
 	"writeJSON":  true,
 	"writeShed":  true,
-	"routeError": true,
+	"writeError": true,
 }
 
 // documentedStatuses is the per-endpoint error vocabulary README.md and
@@ -43,13 +34,14 @@ var documentedStatuses = map[int64]bool{
 }
 
 // Errcontract enforces the JSON error contract in handler-bearing
-// files: no naked http.Error (it writes text/plain, breaking every
+// files — every non-test file of the package that imports net/http, so
+// a new handler file cannot escape it by its name: no naked http.Error (it writes text/plain, breaking every
 // client that decodes the documented {"error": ...} body), no direct
 // WriteHeader with an error status outside the helpers, and no error
 // status outside the documented per-endpoint sets.
 var Errcontract = &Analyzer{
 	Name: "errcontract",
-	Doc: "handler files must emit errors through httpError/writeJSON/writeShed/routeError with " +
+	Doc: "handler files (those importing net/http) must emit errors through httpError/writeJSON/writeShed/writeError with " +
 		"documented status codes (400/404/405/409/413/421/429/500/502/503); naked http.Error and " +
 		"WriteHeader(4xx/5xx) bypass the JSON error contract",
 	AppliesTo: func(rel string) bool { return rel == "" },
@@ -58,7 +50,7 @@ var Errcontract = &Analyzer{
 
 func runErrcontract(pass *Pass) error {
 	for _, f := range pass.Files {
-		if !handlerFiles[pass.Filename(f.Pos())] {
+		if localImportName(f, "net/http") == "" {
 			continue
 		}
 		ast.Inspect(f, func(n ast.Node) bool {

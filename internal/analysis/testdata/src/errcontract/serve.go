@@ -1,6 +1,6 @@
-// Package errcontract exercises the errcontract analyzer. This file is
-// named serve.go because the contract binds handler-bearing files by
-// name; other.go in the same package shows the scoping.
+// Package errcontract exercises the errcontract analyzer. The contract
+// binds every file that imports net/http: this one and newhandler.go,
+// but not other.go.
 package errcontract
 
 import "net/http"

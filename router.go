@@ -647,11 +647,8 @@ func (r *Router) QueryHub(u, v int) (dist float64, hub int, ok bool, err error) 
 // pairKey discipline (ordered for directed clusters), split by needHub
 // because a hub-less flight cannot feed a hub-needing caller.
 func (r *Router) queryHub(u, v int, needHub bool) (dist float64, hub int, ok bool, err error) {
-	if u < 0 || u >= r.n {
-		return 0, 0, false, &VertexRangeError{ID: u, N: r.n}
-	}
-	if v < 0 || v >= r.n {
-		return 0, 0, false, &VertexRangeError{ID: v, N: r.n}
+	if err := inRange(r.n, u, v); err != nil {
+		return 0, 0, false, err
 	}
 	if err := r.ensurePatch(); err != nil {
 		return 0, 0, false, err
@@ -732,11 +729,8 @@ func (r *Router) Batch(pairs []QueryPair) ([]float64, error) {
 	// Cache pass; pending collects the misses.
 	pending := make([]int, 0, len(pairs))
 	for i, p := range pairs {
-		if p.U < 0 || p.U >= r.n {
-			return nil, &VertexRangeError{ID: p.U, N: r.n}
-		}
-		if p.V < 0 || p.V >= r.n {
-			return nil, &VertexRangeError{ID: p.V, N: r.n}
+		if err := inRange(r.n, p.U, p.V); err != nil {
+			return nil, err
 		}
 		if st.cache != nil {
 			if a, hit := st.cache.Get(p.U, p.V); hit {
@@ -1280,9 +1274,7 @@ func postJSON[T any](r *Router, sid int, path string, body any) (*T, *replica, *
 // failure the caller may retry elsewhere.
 func decodeReplicaResponse(resp *http.Response, out any) error {
 	if resp.StatusCode != http.StatusOK {
-		var eb struct {
-			Error string `json:"error"`
-		}
+		var eb errorBody
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
 		err := fmt.Errorf("status %d: %s", resp.StatusCode, bytes.TrimSpace(msg))
 		if json.Unmarshal(msg, &eb) == nil && eb.Error != "" {
@@ -1299,56 +1291,59 @@ func decodeReplicaResponse(resp *http.Response, out any) error {
 	return nil
 }
 
-// checkDirected rejects a shard response whose slice directedness
-// disagrees with the manifest — on every routed path, same-shard
-// forwards included: a directed router accepting an undirected shard's
-// symmetric answer would cache d(u,v) as d(u→v), silently wrong.
-func (r *Router) checkDirected(rep *replica, directed bool) *ShardError {
-	if directed == r.directed {
-		return nil
+// checkStamp validates the snapshot identity stamp of a shard answer
+// and records the replica's generation. A missing stamp means the
+// backend is not a shard server. A directedness that disagrees with the
+// manifest is rejected on every routed path, same-shard forwards
+// included: a directed router accepting an undirected shard's symmetric
+// answer would cache d(u,v) as d(u→v), silently wrong.
+func (r *Router) checkStamp(rep *replica, st shardStamp) *ShardError {
+	if st.Generation == 0 {
+		return r.terminalErr(rep, errNotShardBackend)
 	}
-	return r.terminalErr(rep, fmt.Errorf("shard serves directed=%v but the manifest says directed=%v — mismatched index files?", directed, r.directed))
+	if st.Directed != r.directed {
+		return r.terminalErr(rep, fmt.Errorf("shard serves directed=%v but the manifest says directed=%v — mismatched index files?", st.Directed, r.directed))
+	}
+	rep.lastGen.Store(st.Generation)
+	return nil
 }
 
-// distWire is the shard /dist response as the router reads it.
-type distWire struct {
-	Reachable  bool    `json:"reachable"`
-	Dist       float64 `json:"dist"`
-	Hub        int     `json:"hub"`
-	Generation uint64  `json:"generation"`
-	Epoch      uint64  `json:"epoch"`
-	Ident      uint64  `json:"ident"`
-	Directed   bool    `json:"directed"`
+// checkShape is checkStamp plus the vertex count a /shardquery or
+// /shardscan answer reports: a shard serving a file over another vertex
+// space fails loudly.
+func (r *Router) checkShape(rep *replica, st shardStamp, n int) *ShardError {
+	if serr := r.checkStamp(rep, st); serr != nil {
+		return serr
+	}
+	if n != r.n {
+		return r.terminalErr(rep, fmt.Errorf("shard serves %d vertices but the manifest says %d — mismatched index files?", n, r.n))
+	}
+	return nil
 }
 
-// batchWire is the shard /batch response as the router reads it.
-type batchWire struct {
-	Dists      []float64 `json:"dists"`
-	Generation uint64    `json:"generation"`
-	Epoch      uint64    `json:"epoch"`
-	Ident      uint64    `json:"ident"`
-	Directed   bool      `json:"directed"`
+// obs is the snapshot identity a stamp carries.
+func (st shardStamp) obs() genObs {
+	return genObs{epoch: st.Epoch, gen: st.Generation, hash: st.Ident}
 }
 
 // fetchDist forwards a same-shard query whole; the shard answers from its
 // local runs and cache, witness hub included.
 func (r *Router) fetchDist(sid, u, v int, obs map[repRef]genObs) (float64, int, bool, error) {
-	resp, rep, serr := getJSON[distWire](r, sid, fmt.Sprintf("/dist?u=%d&v=%d", u, v))
+	resp, rep, serr := getJSON[distResponse](r, sid, fmt.Sprintf("/dist?u=%d&v=%d", u, v))
+	if serr == nil {
+		serr = r.checkStamp(rep, resp.shardStamp)
+	}
+	if serr == nil && resp.Reachable && (resp.Dist == nil || resp.Hub == nil) {
+		serr = r.terminalErr(rep, fmt.Errorf("reachable answer without dist and hub"))
+	}
 	if serr != nil {
 		return 0, 0, false, &ClusterError{Failed: []*ShardError{serr}}
 	}
-	if resp.Generation == 0 {
-		return 0, 0, false, &ClusterError{Failed: []*ShardError{r.terminalErr(rep, errNotShardBackend)}}
-	}
-	if serr := r.checkDirected(rep, resp.Directed); serr != nil {
-		return 0, 0, false, &ClusterError{Failed: []*ShardError{serr}}
-	}
-	rep.lastGen.Store(resp.Generation)
-	obs[repRef{sid, rep.id}] = genObs{epoch: resp.Epoch, gen: resp.Generation, hash: resp.Ident}
+	obs[repRef{sid, rep.id}] = resp.obs()
 	if !resp.Reachable {
 		return Infinity, 0, false, nil
 	}
-	return resp.Dist, resp.Hub, true, nil
+	return *resp.Dist, *resp.Hub, true, nil
 }
 
 // fetchBatch forwards a same-shard sub-batch, translating the wire's -1
@@ -1358,17 +1353,14 @@ func (r *Router) fetchBatch(sid int, pairs []QueryPair) ([]float64, *replica, ge
 	for i, p := range pairs {
 		body[i] = [2]int{p.U, p.V}
 	}
-	resp, rep, serr := postJSON[batchWire](r, sid, "/batch", body)
+	resp, rep, serr := postJSON[batchResponse](r, sid, "/batch", body)
 	if serr != nil {
 		return nil, nil, genObs{}, serr
 	}
 	if len(resp.Dists) != len(pairs) {
 		return nil, nil, genObs{}, r.terminalErr(rep, fmt.Errorf("batch of %d pairs answered with %d distances", len(pairs), len(resp.Dists)))
 	}
-	if resp.Generation == 0 {
-		return nil, nil, genObs{}, r.terminalErr(rep, errNotShardBackend)
-	}
-	if serr := r.checkDirected(rep, resp.Directed); serr != nil {
+	if serr := r.checkStamp(rep, resp.shardStamp); serr != nil {
 		return nil, nil, genObs{}, serr
 	}
 	for i, d := range resp.Dists {
@@ -1376,8 +1368,7 @@ func (r *Router) fetchBatch(sid int, pairs []QueryPair) ([]float64, *replica, ge
 			resp.Dists[i] = Infinity
 		}
 	}
-	rep.lastGen.Store(resp.Generation)
-	return resp.Dists, rep, genObs{epoch: resp.Epoch, gen: resp.Generation, hash: resp.Ident}, nil
+	return resp.Dists, rep, resp.obs(), nil
 }
 
 // fetchRows fetches and validates packed label rows from shard sid —
@@ -1386,19 +1377,13 @@ func (r *Router) fetchBatch(sid int, pairs []QueryPair) ([]float64, *replica, ge
 // go back to that exact process; see crossQueryHub).
 func (r *Router) fetchRows(sid int, fwd, bwd []int) (rowsF, rowsB map[int][]uint64, rep *replica, o genObs, serr *ShardError) {
 	resp, rep, serr := postJSON[shardQueryResponse](r, sid, "/shardquery", shardQueryRequest{Vertices: fwd, Backward: bwd})
-	if serr != nil {
-		return nil, nil, nil, genObs{}, serr
-	}
-	if resp.Generation == 0 {
-		return nil, nil, nil, genObs{}, r.terminalErr(rep, errNotShardBackend)
-	}
 	// A shard serving a file over the wrong vertex space or the wrong
 	// directedness (manifest drift) must be a loud error, not silently
 	// wrong joins.
-	if resp.Vertices != r.n {
-		return nil, nil, nil, genObs{}, r.terminalErr(rep, fmt.Errorf("shard serves %d vertices but the manifest says %d — mismatched index files?", resp.Vertices, r.n))
+	if serr == nil {
+		serr = r.checkShape(rep, resp.shardStamp, resp.Vertices)
 	}
-	if serr := r.checkDirected(rep, resp.Directed); serr != nil {
+	if serr != nil {
 		return nil, nil, nil, genObs{}, serr
 	}
 	decode := func(vs []int, got map[string]string, side string) (map[int][]uint64, *ShardError) {
@@ -1422,8 +1407,7 @@ func (r *Router) fetchRows(sid int, fwd, bwd []int) (rowsF, rowsB map[int][]uint
 	if rowsB, serr = decode(bwd, resp.BackRows, "backward"); serr != nil {
 		return nil, nil, nil, genObs{}, serr
 	}
-	rep.lastGen.Store(resp.Generation)
-	return rowsF, rowsB, rep, genObs{epoch: resp.Epoch, gen: resp.Generation, hash: resp.Ident}, nil
+	return rowsF, rowsB, rep, resp.obs(), nil
 }
 
 // resolveReply is one waiter's share of a batched resolution.
@@ -1524,7 +1508,7 @@ func (r *Router) drainResolves(rep *replica, rb *resolveBatcher) {
 				w.ch <- resolveReply{serr: r.terminalErr(rep, fmt.Errorf("rank %d missing from resolution response", w.rank))}
 				continue
 			}
-			w.ch <- resolveReply{orig: orig, obs: genObs{epoch: resp.Epoch, gen: resp.Generation, hash: resp.Ident}}
+			w.ch <- resolveReply{orig: orig, obs: resp.obs()}
 		}
 	}
 }
@@ -1833,27 +1817,58 @@ func (r *Router) Stats() RouterStats {
 	return out
 }
 
-// Handler returns the router's HTTP API — the same public surface as a
-// single-process Server (GET /dist, POST /batch, GET /paths, GET /knn,
-// POST /matrix, GET /stats, GET /healthz, GET /metrics) plus POST
-// /reload?shard=I[&replica=J][&path=P], which proxies a hot reload to
-// one shard replica. Errors are JSON bodies; shard failures are 502s
-// listing the failed shards; shed requests are 429s with a retry-after
-// body (see shape).
+// Handler returns the router's HTTP API: the public handlers a
+// single-process Server mounts (GET /dist, POST /batch, GET /paths,
+// GET /knn, POST /matrix, POST /update, GET /stats; see api.go), the
+// query routes behind the shape middleware, plus GET /healthz, GET
+// /metrics and POST /reload?shard=I[&replica=J][&path=P], which proxies
+// a hot reload to one shard replica. Errors are JSON bodies; shard
+// failures are 502s listing the failed shards; shed requests are 429s
+// with a retry-after body (see shape).
 func (r *Router) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/dist", r.metrics.wrap("/dist", r.shape(r.handleDist)))
-	mux.HandleFunc("/batch", r.metrics.wrap("/batch", r.shape(r.handleBatch)))
-	mux.HandleFunc("/paths", r.metrics.wrap("/paths", r.shape(r.handlePaths)))
-	mux.HandleFunc("/knn", r.metrics.wrap("/knn", r.shape(r.handleKNN)))
-	mux.HandleFunc("/matrix", r.metrics.wrap("/matrix", r.shape(r.handleMatrix)))
-	mux.HandleFunc("/stats", r.metrics.wrap("/stats", r.handleStats))
+	mountAPI(mux, r, func(endpoint string, h http.HandlerFunc) http.HandlerFunc {
+		if endpoint != "/stats" && endpoint != "/update" {
+			h = r.shape(h)
+		}
+		return r.metrics.wrap(endpoint, h)
+	})
 	mux.HandleFunc("/healthz", r.metrics.wrap("/healthz", r.handleHealthz))
 	mux.HandleFunc("/reload", r.metrics.wrap("/reload", r.handleReload))
-	mux.HandleFunc("/update", r.metrics.wrap("/update", r.handleUpdate))
 	mux.HandleFunc("/metrics", r.handleMetrics)
 	return mux
 }
+
+// The Router is its own per-request view (see view): the manifest fixes
+// its vertex space, and it serves the whole of it.
+
+func (r *Router) view() view             { return r }
+func (r *Router) done()                  {}
+func (r *Router) sliceOnly(string) error { return nil }
+
+func (r *Router) dist(u, v int) (distResponse, error) {
+	d, hub, ok, err := r.QueryHub(u, v)
+	return newDistResponse(u, v, d, hub, ok), err
+}
+
+func (r *Router) batch(pairs []QueryPair) (batchResponse, error) {
+	dists, err := r.Batch(pairs)
+	return batchResponse{Dists: dists}, err
+}
+
+func (r *Router) shortestPath(u, v int) (float64, []int, bool, error) { return r.Path(u, v) }
+func (r *Router) knn(u, k int) ([]Neighbor, error)                    { return r.KNN(u, k) }
+
+func (r *Router) matrix(sources, targets []int, emit func(u int, dists []float64) error) error {
+	return r.Matrix(sources, targets, emit)
+}
+
+func (r *Router) update(ops []EdgeOp) (updateResponse, error) {
+	st, err := r.Update(ops)
+	return updateResponse{Applied: len(ops), Patch: &st}, err
+}
+
+func (r *Router) stats() any { return r.Stats() }
 
 // shape is the admission-control middleware on the query endpoints
 // (/dist, /batch, /paths, /knn, and /matrix only — health, stats, and
@@ -1892,85 +1907,6 @@ func (r *Router) shape(h http.HandlerFunc) http.HandlerFunc {
 		}
 		h(w, req)
 	}
-}
-
-// routeError maps a routing failure to its HTTP response.
-func routeError(w http.ResponseWriter, err error) {
-	var vr *VertexRangeError
-	if errors.As(err, &vr) {
-		// Same body, byte for byte, as the shard tier's /dist range check
-		// (see Server.handleDist): clients must see one error schema no
-		// matter which tier rejected them.
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("vertex ids must be in [0,%d)", vr.N))
-		return
-	}
-	var ce *ClusterError
-	if errors.As(err, &ce) {
-		failed := make([]map[string]any, len(ce.Failed))
-		for i, f := range ce.Failed {
-			failed[i] = map[string]any{"shard": f.Shard, "replica": f.Replica, "addr": f.Addr, "error": f.Err.Error()}
-		}
-		writeJSON(w, http.StatusBadGateway, map[string]any{
-			"error":         ce.Error(),
-			"failed_shards": failed,
-		})
-		return
-	}
-	httpError(w, http.StatusBadGateway, err.Error())
-}
-
-func (r *Router) handleDist(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, "use GET /dist?u=&v=")
-		return
-	}
-	u, err1 := strconv.Atoi(req.URL.Query().Get("u"))
-	v, err2 := strconv.Atoi(req.URL.Query().Get("v"))
-	if err1 != nil || err2 != nil {
-		httpError(w, http.StatusBadRequest, "u and v must be integer vertex ids")
-		return
-	}
-	d, hub, ok, err := r.QueryHub(u, v)
-	if err != nil {
-		routeError(w, err)
-		return
-	}
-	resp := map[string]any{"u": u, "v": v, "reachable": ok}
-	if ok {
-		resp["dist"] = d
-		resp["hub"] = hub
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-func (r *Router) handleBatch(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST a JSON array of [u,v] pairs")
-		return
-	}
-	pairs, ok := decodeBatchBody(w, req, r.n)
-	if !ok {
-		return
-	}
-	dists, err := r.Batch(pairs)
-	if err != nil {
-		routeError(w, err)
-		return
-	}
-	for i, d := range dists {
-		if d == Infinity {
-			dists[i] = -1 // JSON has no +Inf
-		}
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"dists": dists})
-}
-
-func (r *Router) handleStats(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, "use GET /stats")
-		return
-	}
-	writeJSON(w, http.StatusOK, r.Stats())
 }
 
 func (r *Router) handleHealthz(w http.ResponseWriter, req *http.Request) {
@@ -2027,7 +1963,7 @@ func (r *Router) handleReload(w http.ResponseWriter, req *http.Request) {
 	if err != nil {
 		// Transport failure: the replica really is unreachable.
 		rep.fail(err, r.ejectAfter, r.probation, r.clock.Now())
-		routeError(w, &ClusterError{Failed: []*ShardError{{Shard: sid, Replica: rid, Addr: rep.addr, Err: err}}})
+		writeError(w, &ClusterError{Failed: []*ShardError{{Shard: sid, Replica: rid, Addr: rep.addr, Err: err}}})
 		return
 	}
 	defer resp.Body.Close()
@@ -2043,7 +1979,7 @@ func (r *Router) handleReload(w http.ResponseWriter, req *http.Request) {
 	}
 	var out map[string]any
 	if err := json.Unmarshal(body, &out); err != nil {
-		routeError(w, &ClusterError{Failed: []*ShardError{r.terminalErr(rep, fmt.Errorf("undecodable reload response: %w", err))}})
+		writeError(w, &ClusterError{Failed: []*ShardError{r.terminalErr(rep, fmt.Errorf("undecodable reload response: %w", err))}})
 		return
 	}
 	// Successful round trip: the replica is healthy again as far as the

@@ -1,10 +1,7 @@
 package chl
 
 import (
-	"errors"
 	"fmt"
-	"io"
-	"net/http"
 	"sort"
 
 	"repro/internal/delta"
@@ -38,9 +35,9 @@ import (
 // cannot refuse (shards reload out from under it), so this is a
 // documented operator rule instead.
 
-// errRouterUpdatesDisabled distinguishes "no base graph configured"
-// (409) from a bad patch (400) in handleUpdate.
-var errRouterUpdatesDisabled = errors.New("chl: router updates disabled — configure RouterConfig.BaseGraph (cmd/chlrouter: -graph) to accept /update")
+// errRouterUpdatesDisabled refuses updates on a router without a base
+// graph (409, not the 400 of a bad patch).
+const errRouterUpdatesDisabled = updatesDisabledError("chl: router updates disabled — configure RouterConfig.BaseGraph (cmd/chlrouter: -graph) to accept /update")
 
 // ensurePatch replays the update journal once, lazily, on the first
 // query or update after construction — NewRouter must never contact
@@ -285,45 +282,4 @@ func (r *Router) routePatchedQueryHub(st *routerState, u, v int, needHub bool) f
 	}
 	r.cachePut(st, obs, u, v, Answer{Dist: dist, Hub: hub, Reachable: true})
 	return flightResult{dist: dist, hub: hub, ok: true}
-}
-
-// handleUpdate is POST /update at the router: the same text patch-log
-// body the flat server accepts, applied to the cluster without touching
-// the shards. 409 when the router has no base graph, 400 on a malformed
-// or invalid patch, 502 when pinning patch-vertex rows failed.
-func (r *Router) handleUpdate(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST a text patch log (add/del/set lines) to /update")
-		return
-	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, req.Body, maxPatchBytes))
-	if err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("reading patch body: %v", err))
-		return
-	}
-	ops, err := ParsePatchLog(body)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	if len(ops) == 0 {
-		httpError(w, http.StatusBadRequest, "empty patch: no add/del/set lines")
-		return
-	}
-	stat, err := r.Update(ops)
-	if err != nil {
-		switch {
-		case errors.Is(err, errRouterUpdatesDisabled):
-			httpError(w, http.StatusConflict, err.Error())
-		default:
-			var ce *ClusterError
-			if errors.As(err, &ce) {
-				routeError(w, err)
-				return
-			}
-			httpError(w, http.StatusBadRequest, err.Error())
-		}
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"applied": len(ops), "patch": stat})
 }

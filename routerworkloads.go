@@ -3,9 +3,7 @@ package chl
 import (
 	"encoding/base64"
 	"fmt"
-	"net/http"
 	"sort"
-	"strconv"
 	"sync"
 )
 
@@ -25,11 +23,8 @@ import (
 // segment's distance is the same number /dist serves for that pair, bit
 // for bit, and a hot path's segments are answered from cache.
 func (r *Router) Path(u, v int) (dist float64, path []int, reachable bool, err error) {
-	if u < 0 || u >= r.n {
-		return 0, nil, false, &VertexRangeError{ID: u, N: r.n}
-	}
-	if v < 0 || v >= r.n {
-		return 0, nil, false, &VertexRangeError{ID: v, N: r.n}
+	if err := inRange(r.n, u, v); err != nil {
+		return 0, nil, false, err
 	}
 	if err := r.ensurePatch(); err != nil {
 		return 0, nil, false, err
@@ -63,8 +58,8 @@ func (r *Router) Path(u, v int) (dist float64, path []int, reachable bool, err e
 // identical (u, k) requests collapse into one fan-out (singleflight,
 // keyed apart from pair flights — see flightKind).
 func (r *Router) KNN(u, k int) ([]Neighbor, error) {
-	if u < 0 || u >= r.n {
-		return nil, &VertexRangeError{ID: u, N: r.n}
+	if err := inRange(r.n, u); err != nil {
+		return nil, err
 	}
 	if k < 1 || k > r.n {
 		return nil, fmt.Errorf("chl: k must be in [1,%d], got %d", r.n, k)
@@ -152,21 +147,14 @@ func (so *scanObserver) err() error {
 // snapshot identity into so.
 func (r *Router) shardScan(sid int, req shardScanRequest, so *scanObserver) *shardScanResponse {
 	resp, rep, serr := postJSON[shardScanResponse](r, sid, "/shardscan", req)
-	if serr == nil && resp.Generation == 0 {
-		serr = r.terminalErr(rep, errNotShardBackend)
-	}
-	if serr == nil && resp.Vertices != r.n {
-		serr = r.terminalErr(rep, fmt.Errorf("shard serves %d vertices but the manifest says %d — mismatched index files?", resp.Vertices, r.n))
-	}
 	if serr == nil {
-		serr = r.checkDirected(rep, resp.Directed)
+		serr = r.checkShape(rep, resp.shardStamp, resp.Vertices)
 	}
 	if serr != nil {
 		so.observe(repRef{}, genObs{}, serr)
 		return nil
 	}
-	rep.lastGen.Store(resp.Generation)
-	so.observe(repRef{sid, rep.id}, genObs{epoch: resp.Epoch, gen: resp.Generation, hash: resp.Ident}, nil)
+	so.observe(repRef{sid, rep.id}, resp.obs(), nil)
 	return resp
 }
 
@@ -244,15 +232,11 @@ func (r *Router) routeKNN(u, k int) ([]Neighbor, error) {
 // re-derive anyway. Observed snapshot identities still feed the
 // cache-retirement machinery (noteGenerations).
 func (r *Router) Matrix(sources, targets []int, emit func(u int, dists []float64) error) error {
-	for _, id := range sources {
-		if id < 0 || id >= r.n {
-			return &VertexRangeError{ID: id, N: r.n}
-		}
+	if err := inRange(r.n, sources...); err != nil {
+		return err
 	}
-	for _, id := range targets {
-		if id < 0 || id >= r.n {
-			return &VertexRangeError{ID: id, N: r.n}
-		}
+	if err := inRange(r.n, targets...); err != nil {
+		return err
 	}
 	if err := r.ensurePatch(); err != nil {
 		return err
@@ -418,75 +402,4 @@ func fragmentsShaped(rows [][]float64, runs, targets int) bool {
 		}
 	}
 	return true
-}
-
-// --- HTTP handlers ---
-
-func (r *Router) handlePaths(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, "use GET /paths?u=&v=")
-		return
-	}
-	u, err1 := strconv.Atoi(req.URL.Query().Get("u"))
-	v, err2 := strconv.Atoi(req.URL.Query().Get("v"))
-	if err1 != nil || err2 != nil {
-		httpError(w, http.StatusBadRequest, "u and v must be integer vertex ids")
-		return
-	}
-	d, path, ok, err := r.Path(u, v)
-	if err != nil {
-		routeError(w, err)
-		return
-	}
-	resp := map[string]any{"u": u, "v": v, "reachable": ok}
-	if ok {
-		resp["dist"] = d
-		resp["path"] = path
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-func (r *Router) handleKNN(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, "use GET /knn?u=&k=")
-		return
-	}
-	u, err1 := strconv.Atoi(req.URL.Query().Get("u"))
-	k, err2 := strconv.Atoi(req.URL.Query().Get("k"))
-	if err1 != nil || err2 != nil {
-		httpError(w, http.StatusBadRequest, "u and k must be integers")
-		return
-	}
-	if k < 1 || k > r.n {
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("k must be in [1,%d]", r.n))
-		return
-	}
-	neighbors, err := r.KNN(u, k)
-	if err != nil {
-		routeError(w, err)
-		return
-	}
-	if neighbors == nil {
-		neighbors = []Neighbor{}
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"u": u, "k": k, "neighbors": neighbors})
-}
-
-// handleMatrix streams the matrix in the exact bytes the single-process
-// Server serves (streamMatrix). A failure before the first row, such as
-// a failed prefetch, still gets a proper error status; a shard failure
-// after streaming has begun ends the stream with an {"error": ...}
-// line instead, since the status line is long gone.
-func (r *Router) handleMatrix(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST a JSON {\"sources\":[...],\"targets\":[...]} body")
-		return
-	}
-	mreq, ok := decodeMatrixBody(w, req, r.n)
-	if !ok {
-		return
-	}
-	if err := streamMatrix(w, mreq, r.Matrix); err != nil {
-		routeError(w, err)
-	}
 }

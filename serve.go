@@ -20,10 +20,6 @@ import (
 	"repro/internal/shard"
 )
 
-// maxBatchBytes bounds a /batch request body; past this the decoder never
-// runs, so a hostile client cannot make the server buffer gigabytes.
-const maxBatchBytes = 64 << 20
-
 // fxHandle owns one FlatIndex shared by every snapshot generation built
 // over it: the frozen-only generation plus each patch-batch generation
 // layered on the same labels. The index is closed by whichever release
@@ -62,6 +58,7 @@ func (h *fxHandle) release() {
 // the old generation retires naturally, with no query ever touching
 // unmapped memory and no reader ever blocking a reload.
 type Snapshot struct {
+	srv      *Server // installed it; as a request's view, the snapshot reads shard identity and counters there
 	handle   *fxHandle
 	fx       *FlatIndex
 	eng      *BatchEngine
@@ -120,8 +117,9 @@ func (sn *Snapshot) Release() {
 // unmapped only after its last query drains. A failed reload leaves the
 // current snapshot serving untouched.
 //
-// Handler exposes the HTTP API (/dist, /batch, /stats, /reload,
-// /healthz, /metrics, /shardquery) documented in README.md; the query
+// Handler exposes the HTTP API (the public endpoints it shares with the
+// Router, plus /reload, /compact, /healthz, /metrics and the shard
+// protocol) documented in README.md; the query
 // methods serve embedders directly. SetShard turns the server into one
 // shard of a split cluster (see Router); SetPrefault warms fresh
 // mappings before they go live.
@@ -350,6 +348,7 @@ func (s *Server) installHandle(h *fxHandle, path string, ov *delta.Overlay) *Sna
 		ident = mixIdent(ident, ov.Hash())
 	}
 	sn := &Snapshot{
+		srv:      s,
 		handle:   h,
 		fx:       fx,
 		eng:      eng,
@@ -566,7 +565,7 @@ func (s *Server) applyOps(ops []EdgeOp, journal bool) (*Snapshot, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.baseGraph == nil {
-		return nil, fmt.Errorf("chl: updates are not enabled on this server (EnableUpdates, or start with -graph)")
+		return nil, updatesDisabledError("chl: updates are not enabled on this server (EnableUpdates, or start with -graph)")
 	}
 	combined := make([]EdgeOp, 0, len(s.patchOps)+len(ops))
 	combined = append(append(combined, s.patchOps...), ops...)
@@ -611,7 +610,7 @@ func (s *Server) Compact(path string) (uint64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.baseGraph == nil {
-		return 0, fmt.Errorf("chl: updates are not enabled on this server")
+		return 0, updatesDisabledError("chl: updates are not enabled on this server")
 	}
 	if len(s.patchOps) == 0 {
 		return 0, fmt.Errorf("chl: nothing to compact: no edge updates are outstanding")
@@ -748,6 +747,11 @@ type ShardStats struct {
 func (s *Server) Stats() ServerStats {
 	sn := s.Acquire()
 	defer sn.Release()
+	return s.statsOf(sn)
+}
+
+// statsOf reports the server's state with sn as the current snapshot.
+func (s *Server) statsOf(sn *Snapshot) ServerStats {
 	st := ServerStats{
 		Vertices:      sn.fx.NumVertices(),
 		Labels:        sn.fx.TotalLabels(),
@@ -778,23 +782,18 @@ func (s *Server) Stats() ServerStats {
 	return st
 }
 
-// Handler returns the HTTP API: GET /dist, POST /batch, GET /paths,
-// GET /knn, POST /matrix (NDJSON-streamed), GET /stats, POST /reload,
-// GET /healthz, GET /metrics (Prometheus text format with per-endpoint
-// latency histograms), and — for the sharded tier — POST /shardquery
-// and POST /shardscan. Every error is a JSON body {"error": "..."}
-// with a precise status code; see README.md for the full
-// request/response schemas.
+// Handler returns the HTTP API: the public endpoints shared with the
+// Router (GET /dist, POST /batch, GET /paths, GET /knn, POST /matrix
+// (NDJSON-streamed), POST /update, GET /stats; see api.go), plus POST
+// /reload, POST /compact, GET /healthz, GET /metrics (Prometheus text
+// format with per-endpoint latency histograms), and — for the sharded
+// tier — POST /shardquery and POST /shardscan. Every error is a JSON
+// body {"error": "..."} with a precise status code; see README.md for
+// the full request/response schemas.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/dist", s.metrics.wrap("/dist", s.handleDist))
-	mux.HandleFunc("/batch", s.metrics.wrap("/batch", s.handleBatch))
-	mux.HandleFunc("/paths", s.metrics.wrap("/paths", s.handlePaths))
-	mux.HandleFunc("/knn", s.metrics.wrap("/knn", s.handleKNN))
-	mux.HandleFunc("/matrix", s.metrics.wrap("/matrix", s.handleMatrix))
-	mux.HandleFunc("/stats", s.metrics.wrap("/stats", s.handleStats))
+	mountAPI(mux, s, s.metrics.wrap)
 	mux.HandleFunc("/reload", s.metrics.wrap("/reload", s.handleReload))
-	mux.HandleFunc("/update", s.metrics.wrap("/update", s.handleUpdate))
 	mux.HandleFunc("/compact", s.metrics.wrap("/compact", s.handleCompact))
 	mux.HandleFunc("/healthz", s.metrics.wrap("/healthz", s.handleHealthz))
 	mux.HandleFunc("/shardquery", s.metrics.wrap("/shardquery", s.handleShardQuery))
@@ -803,136 +802,114 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-func (s *Server) handleDist(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, "use GET /dist?u=&v=")
-		return
+// view acquires the current snapshot as one request's view (see view).
+func (s *Server) view() view { return s.Acquire() }
+
+// The Snapshot is the Server's per-request view: each method answers
+// on this generation and counts into the owning server's totals.
+
+// NumVertices returns the vertex count of the snapshot's index.
+func (sn *Snapshot) NumVertices() int { return sn.fx.NumVertices() }
+
+func (sn *Snapshot) done() { sn.Release() }
+
+func (sn *Snapshot) sliceOnly(what string) error {
+	if s := sn.srv; s.part != nil && what != "" {
+		return &misdirectedError{shard: s.shardID, msg: fmt.Sprintf("shard %d serves %s", s.shardID, what)}
 	}
-	sn := s.Acquire()
-	defer sn.Release()
-	n := sn.fx.NumVertices()
-	u, err1 := strconv.Atoi(r.URL.Query().Get("u"))
-	v, err2 := strconv.Atoi(r.URL.Query().Get("v"))
-	if err1 != nil || err2 != nil {
-		httpError(w, http.StatusBadRequest, "u and v must be integer vertex ids")
-		return
+	return nil
+}
+
+// stamp is the snapshot's shard identity stamp; zero (left off the
+// wire) on a plain server.
+func (sn *Snapshot) stamp() shardStamp {
+	if sn.srv.part == nil {
+		return shardStamp{}
 	}
-	if u < 0 || v < 0 || u >= n || v >= n {
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("vertex ids must be in [0,%d)", n))
-		return
+	return shardStamp{Directed: sn.fx.Directed(), Epoch: sn.srv.epoch, Generation: sn.gen, Ident: sn.ident}
+}
+
+func (sn *Snapshot) dist(u, v int) (distResponse, error) {
+	if err := sn.srv.misroute(u, v); err != nil {
+		return distResponse{}, err
 	}
-	if !s.owns(u) || !s.owns(v) {
-		s.misdirected(w, u, v)
-		return
-	}
-	s.queries.Add(1)
+	sn.srv.queries.Add(1)
 	d, hub, ok := sn.eng.QueryHub(u, v)
-	resp := map[string]any{"u": u, "v": v, "reachable": ok}
-	if s.part != nil {
-		// Snapshot identity for the router's cache retirement, plus the
-		// slice's directedness so the router can reject drift on the
-		// same-shard path too; plain servers keep the documented public
-		// schema.
-		resp["generation"], resp["epoch"] = sn.gen, s.epoch
-		resp["ident"] = sn.ident
-		resp["directed"] = sn.fx.Directed()
-	}
-	if ok {
-		resp["dist"] = d
-		resp["hub"] = hub
-	}
-	writeJSON(w, http.StatusOK, resp)
+	resp := newDistResponse(u, v, d, hub, ok)
+	resp.shardStamp = sn.stamp()
+	return resp, nil
 }
 
-// misdirected rejects a query for vertices this shard does not own. The
-// router never produces these; a 421 therefore means a client bypassed
-// the router or the cluster's manifests disagree.
-func (s *Server) misdirected(w http.ResponseWriter, us ...int) {
-	for _, u := range us {
-		if !s.owns(u) {
-			writeJSON(w, http.StatusMisdirectedRequest, map[string]any{
-				"error": fmt.Sprintf("vertex %d is not owned by shard %d; route through the cluster's router", u, s.shardID),
-				"shard": s.shardID,
-			})
-			return
+func (sn *Snapshot) batch(pairs []QueryPair) (batchResponse, error) {
+	for _, p := range pairs {
+		if err := sn.srv.misroute(p.U, p.V); err != nil {
+			return batchResponse{}, err
 		}
 	}
+	sn.srv.queries.Add(int64(len(pairs)))
+	return batchResponse{Dists: sn.eng.Batch(pairs), shardStamp: sn.stamp()}, nil
 }
 
-func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST a JSON array of [u,v] pairs")
-		return
-	}
-	sn := s.Acquire()
-	defer sn.Release()
-	pairs, ok := decodeBatchBody(w, r, sn.fx.NumVertices())
-	if !ok {
-		return
-	}
-	if s.part != nil {
-		for _, p := range pairs {
-			if !s.owns(p.U) || !s.owns(p.V) {
-				s.misdirected(w, p.U, p.V)
-				return
-			}
-		}
-	}
-	s.queries.Add(int64(len(pairs)))
-	dists := sn.eng.Batch(pairs)
-	for i, d := range dists {
-		if d == Infinity {
-			dists[i] = -1 // JSON has no +Inf
-		}
-	}
-	resp := map[string]any{"dists": dists}
-	if s.part != nil {
-		resp["generation"], resp["epoch"] = sn.gen, s.epoch
-		resp["ident"] = sn.ident
-		resp["directed"] = sn.fx.Directed()
-	}
-	writeJSON(w, http.StatusOK, resp)
+func (sn *Snapshot) shortestPath(u, v int) (float64, []int, bool, error) {
+	sn.srv.queries.Add(1)
+	return sn.eng.Path(u, v)
 }
 
-// decodeBatchBody parses a /batch request body — a JSON array of [u,v]
-// pairs — bounds-checking every id against n. On failure it writes the
-// error response and returns ok=false. Shared by the single-process
-// server and the Router, which must reject exactly the same bodies.
-func decodeBatchBody(w http.ResponseWriter, r *http.Request, n int) ([]QueryPair, bool) {
-	// Decode into slices, not [2]int arrays: encoding/json silently
-	// discards excess elements when filling a fixed-size array, and a
-	// malformed pair must be a 400, not a quietly wrong answer.
-	var raw [][]int
-	r.Body = http.MaxBytesReader(w, r.Body, maxBatchBytes)
-	if err := json.NewDecoder(r.Body).Decode(&raw); err != nil {
-		code := http.StatusBadRequest
-		if _, tooLarge := err.(*http.MaxBytesError); tooLarge {
-			code = http.StatusRequestEntityTooLarge
-		}
-		httpError(w, code, "body must be a JSON array of [u,v] pairs: "+err.Error())
-		return nil, false
-	}
-	pairs := make([]QueryPair, len(raw))
-	for i, p := range raw {
-		if len(p) != 2 {
-			httpError(w, http.StatusBadRequest, fmt.Sprintf("pair %d has %d elements, want [u,v]", i, len(p)))
-			return nil, false
-		}
-		if p[0] < 0 || p[1] < 0 || p[0] >= n || p[1] >= n {
-			httpError(w, http.StatusBadRequest, fmt.Sprintf("pair %d = [%d,%d] out of range [0,%d)", i, p[0], p[1], n))
-			return nil, false
-		}
-		pairs[i] = QueryPair{U: p[0], V: p[1]}
-	}
-	return pairs, true
+func (sn *Snapshot) knn(u, k int) ([]Neighbor, error) {
+	sn.srv.queries.Add(1)
+	return sn.eng.KNN(u, k), nil
 }
 
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, "use GET /stats")
-		return
+func (sn *Snapshot) matrix(sources, targets []int, emit func(u int, dists []float64) error) error {
+	sn.srv.queries.Add(int64(len(sources)) * int64(len(targets)))
+	return sn.eng.MatrixRows(sources, targets, emit)
+}
+
+// update applies ops to the server and describes the generation that
+// now serves them.
+func (sn *Snapshot) update(ops []EdgeOp) (updateResponse, error) {
+	next, err := sn.srv.applyOps(ops, true)
+	if err != nil {
+		return updateResponse{}, err
 	}
-	writeJSON(w, http.StatusOK, s.Stats())
+	resp := updateResponse{Applied: len(ops), Generation: next.gen, Ident: next.ident}
+	if next.ov != nil {
+		ps := next.ov.Stat()
+		resp.Patch = &ps
+	}
+	return resp, nil
+}
+
+func (sn *Snapshot) stats() any { return sn.srv.statsOf(sn) }
+
+// misroute returns a *misdirectedError for the first of vs this server
+// does not own (nil on a plain server).
+func (s *Server) misroute(vs ...int) error {
+	for _, v := range vs {
+		if !s.owns(v) {
+			return &misdirectedError{shard: s.shardID, msg: fmt.Sprintf("vertex %d is not owned by shard %d; route through the cluster's router", v, s.shardID)}
+		}
+	}
+	return nil
+}
+
+// pathParam reads the optional target file of /reload and /compact:
+// ?path=, else a JSON body {"path": "..."}; an empty body means "the
+// current file". A malformed body is a 400, not a silent reload of a
+// file the operator didn't ask for.
+func pathParam(w http.ResponseWriter, r *http.Request) (string, error) {
+	if path := r.URL.Query().Get("path"); path != "" {
+		return path, nil
+	}
+	var body struct {
+		Path string `json:"path"`
+	}
+	switch err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&body); {
+	case err == nil, errors.Is(err, io.EOF):
+		return body.Path, nil
+	default:
+		return "", badRequestf("body must be empty or a JSON object {\"path\":\"...\"}: %v", err)
+	}
 }
 
 func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
@@ -940,27 +917,14 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusMethodNotAllowed, "use POST /reload")
 		return
 	}
-	path := r.URL.Query().Get("path")
-	if path == "" {
-		// Optional JSON body {"path": "..."}; an empty body means
-		// "reload my current file". A malformed body is a 400, not a
-		// silent reload of the old file the operator didn't ask for.
-		var body struct {
-			Path string `json:"path"`
-		}
-		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-		switch err := dec.Decode(&body); {
-		case err == nil:
-			path = body.Path
-		case errors.Is(err, io.EOF): // empty body
-		default:
-			httpError(w, http.StatusBadRequest, "body must be empty or a JSON object {\"path\":\"...\"}: "+err.Error())
-			return
-		}
+	path, err := pathParam(w, r)
+	if err != nil {
+		writeError(w, err)
+		return
 	}
 	sn, err := s.reload(path)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
+		writeError(w, badRequest(err))
 		return
 	}
 	// Describe the snapshot this request installed; a racing reload may
@@ -980,73 +944,6 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// maxPatchBytes bounds a /update request body — patch logs are text,
-// and a batch bigger than this is an operator error, not a workload.
-const maxPatchBytes = 8 << 20
-
-// handleUpdate serves POST /update: the body is a text patch log (one
-// "add u v w" / "del u v" / "set u v w" op per line, '#' comments), the
-// response describes the overlay generation that now serves it. Shard
-// servers reject with 421 (route updates through the router); servers
-// without EnableUpdates reject with 409.
-func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST a text patch log (one \"add u v w\" / \"del u v\" / \"set u v w\" per line)")
-		return
-	}
-	if s.part != nil {
-		writeJSON(w, http.StatusMisdirectedRequest, map[string]any{
-			"error": fmt.Sprintf("shard %d serves a frozen slice; route edge updates through the cluster's router", s.shardID),
-			"shard": s.shardID,
-		})
-		return
-	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxPatchBytes))
-	if err != nil {
-		code := http.StatusBadRequest
-		if _, tooLarge := err.(*http.MaxBytesError); tooLarge {
-			code = http.StatusRequestEntityTooLarge
-		}
-		httpError(w, code, "reading patch log body: "+err.Error())
-		return
-	}
-	ops, err := ParsePatchLog(body)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	if len(ops) == 0 {
-		httpError(w, http.StatusBadRequest, "empty update: the body held no ops")
-		return
-	}
-	sn, err := s.applyOps(ops, true)
-	if err != nil {
-		code := http.StatusBadRequest
-		if !s.updatesEnabled() {
-			code = http.StatusConflict
-		}
-		httpError(w, code, err.Error())
-		return
-	}
-	resp := map[string]any{
-		"applied":    len(ops),
-		"generation": sn.gen,
-		"ident":      sn.ident,
-	}
-	if sn.ov != nil {
-		resp["patch"] = sn.ov.Stat()
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// updatesEnabled reports whether EnableUpdates has run (mu-guarded —
-// the handlers use it only to pick a status code).
-func (s *Server) updatesEnabled() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.baseGraph != nil
-}
-
 // handleCompact serves POST /compact: fold the outstanding patch log
 // into a fresh frozen index and swap it in. Optional ?path= (or JSON
 // body {"path":"..."}) names the file to persist the compacted index
@@ -1056,28 +953,14 @@ func (s *Server) handleCompact(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusMethodNotAllowed, "use POST /compact")
 		return
 	}
-	path := r.URL.Query().Get("path")
-	if path == "" {
-		var body struct {
-			Path string `json:"path"`
-		}
-		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-		switch err := dec.Decode(&body); {
-		case err == nil:
-			path = body.Path
-		case errors.Is(err, io.EOF): // empty body
-		default:
-			httpError(w, http.StatusBadRequest, "body must be empty or a JSON object {\"path\":\"...\"}: "+err.Error())
-			return
-		}
+	path, err := pathParam(w, r)
+	if err != nil {
+		writeError(w, err)
+		return
 	}
 	gen, err := s.Compact(path)
 	if err != nil {
-		code := http.StatusBadRequest
-		if !s.updatesEnabled() {
-			code = http.StatusConflict
-		}
-		httpError(w, code, err.Error())
+		writeError(w, badRequest(err))
 		return
 	}
 	sn := s.Acquire()
@@ -1119,19 +1002,15 @@ type shardQueryRequest struct {
 // hub (rank space) in the high 32 bits, float32 distance bits in the low
 // 32 — base64-encoded so the bytes cross the wire exactly as they sit in
 // the shard's (usually memory-mapped) index. Rows answers Vertices
-// (forward runs), BackRows answers Backward. Directed echoes the served
-// slice's directedness so the router can fail loudly on a cluster whose
-// manifest and shard files disagree. Generation lets the router detect
-// shard reloads and retire its answer cache.
+// (forward runs), BackRows answers Backward. The shard stamp lets the
+// router detect shard reloads (to retire its answer cache) and fail
+// loudly on a cluster whose manifest and shard files disagree.
 type shardQueryResponse struct {
-	Generation uint64            `json:"generation"`
-	Epoch      uint64            `json:"epoch"`
-	Ident      uint64            `json:"ident"`
-	Vertices   int               `json:"n"`
-	Directed   bool              `json:"directed,omitempty"`
-	Rows       map[string]string `json:"rows,omitempty"`
-	BackRows   map[string]string `json:"back_rows,omitempty"`
-	Resolved   map[string]int    `json:"resolved,omitempty"`
+	shardStamp
+	Vertices int               `json:"n"`
+	Rows     map[string]string `json:"rows,omitempty"`
+	BackRows map[string]string `json:"back_rows,omitempty"`
+	Resolved map[string]int    `json:"resolved,omitempty"`
 }
 
 // handleShardQuery serves the internal shard-to-router protocol: label
@@ -1152,46 +1031,38 @@ func (s *Server) handleShardQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req shardQueryRequest
-	r.Body = http.MaxBytesReader(w, r.Body, maxBatchBytes)
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		code := http.StatusBadRequest
-		if _, tooLarge := err.(*http.MaxBytesError); tooLarge {
-			code = http.StatusRequestEntityTooLarge
-		}
-		httpError(w, code, "body must be a JSON object {\"vertices\":[...],\"resolve\":[...]}: "+err.Error())
+	if err := decodeBody(w, r, &req, `a JSON object {"vertices":[...],"resolve":[...]}`); err != nil {
+		writeError(w, err)
 		return
 	}
 	sn := s.Acquire()
 	defer sn.Release()
 	n := sn.fx.NumVertices()
-	resp := shardQueryResponse{Generation: sn.gen, Epoch: s.epoch, Ident: sn.ident, Vertices: n, Directed: sn.fx.Directed()}
-	if len(req.Vertices) > 0 {
-		resp.Rows = make(map[string]string, len(req.Vertices))
+	// rows encodes the runs of owned vertices vs.
+	rows := func(vs []int, run func(int) []uint64) (map[string]string, error) {
+		if len(vs) == 0 {
+			return nil, nil
+		}
+		out := make(map[string]string, len(vs))
+		for _, v := range vs {
+			if v < 0 || v >= n {
+				return nil, badRequestf("vertex id %d out of range [0,%d)", v, n)
+			}
+			if err := s.misroute(v); err != nil {
+				return nil, err
+			}
+			out[strconv.Itoa(v)] = encodePackedRun(run(v))
+		}
+		return out, nil
 	}
-	for _, v := range req.Vertices {
-		if v < 0 || v >= n {
-			httpError(w, http.StatusBadRequest, fmt.Sprintf("vertex id %d out of range [0,%d)", v, n))
-			return
-		}
-		if !s.owns(v) {
-			s.misdirected(w, v)
-			return
-		}
-		resp.Rows[strconv.Itoa(v)] = encodePackedRun(sn.fx.forwardRun(v))
+	resp := shardQueryResponse{shardStamp: sn.stamp(), Vertices: n}
+	var err error
+	if resp.Rows, err = rows(req.Vertices, sn.fx.forwardRun); err == nil {
+		resp.BackRows, err = rows(req.Backward, sn.fx.backwardRun)
 	}
-	if len(req.Backward) > 0 {
-		resp.BackRows = make(map[string]string, len(req.Backward))
-	}
-	for _, v := range req.Backward {
-		if v < 0 || v >= n {
-			httpError(w, http.StatusBadRequest, fmt.Sprintf("vertex id %d out of range [0,%d)", v, n))
-			return
-		}
-		if !s.owns(v) {
-			s.misdirected(w, v)
-			return
-		}
-		resp.BackRows[strconv.Itoa(v)] = encodePackedRun(sn.fx.backwardRun(v))
+	if err != nil {
+		writeError(w, err)
+		return
 	}
 	if len(req.Resolve) > 0 {
 		resp.Resolved = make(map[string]int, len(req.Resolve))
@@ -1205,219 +1076,6 @@ func (s *Server) handleShardQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	s.queries.Add(int64(len(req.Vertices) + len(req.Backward)))
 	writeJSON(w, http.StatusOK, resp)
-}
-
-// rejectRichOnShard rejects a rich-workload request (/paths, /knn,
-// /matrix) sent directly to a shard server: these workloads need the
-// whole vertex space (path waypoints and knn/matrix targets land on
-// arbitrary shards), so only plain servers and the router serve them.
-// 421, like misdirected — the fix is the same: route through the
-// router.
-func (s *Server) rejectRichOnShard(w http.ResponseWriter) bool {
-	if s.part == nil {
-		return false
-	}
-	writeJSON(w, http.StatusMisdirectedRequest, map[string]any{
-		"error": fmt.Sprintf("shard %d serves only its owned label rows; route rich query workloads through the cluster's router", s.shardID),
-		"shard": s.shardID,
-	})
-	return true
-}
-
-func (s *Server) handlePaths(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, "use GET /paths?u=&v=")
-		return
-	}
-	if s.rejectRichOnShard(w) {
-		return
-	}
-	sn := s.Acquire()
-	defer sn.Release()
-	n := sn.fx.NumVertices()
-	u, err1 := strconv.Atoi(r.URL.Query().Get("u"))
-	v, err2 := strconv.Atoi(r.URL.Query().Get("v"))
-	if err1 != nil || err2 != nil {
-		httpError(w, http.StatusBadRequest, "u and v must be integer vertex ids")
-		return
-	}
-	if u < 0 || v < 0 || u >= n || v >= n {
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("vertex ids must be in [0,%d)", n))
-		return
-	}
-	s.queries.Add(1)
-	d, path, ok, err := sn.eng.Path(u, v)
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	resp := map[string]any{"u": u, "v": v, "reachable": ok}
-	if ok {
-		resp["dist"] = d
-		resp["path"] = path
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, "use GET /knn?u=&k=")
-		return
-	}
-	if s.rejectRichOnShard(w) {
-		return
-	}
-	sn := s.Acquire()
-	defer sn.Release()
-	n := sn.fx.NumVertices()
-	u, err1 := strconv.Atoi(r.URL.Query().Get("u"))
-	k, err2 := strconv.Atoi(r.URL.Query().Get("k"))
-	if err1 != nil || err2 != nil {
-		httpError(w, http.StatusBadRequest, "u and k must be integers")
-		return
-	}
-	if u < 0 || u >= n {
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("vertex ids must be in [0,%d)", n))
-		return
-	}
-	if k < 1 || k > n {
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("k must be in [1,%d]", n))
-		return
-	}
-	s.queries.Add(1)
-	neighbors := sn.eng.KNN(u, k)
-	if neighbors == nil {
-		neighbors = []Neighbor{} // an isolated source answers [], not null
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"u": u, "k": k, "neighbors": neighbors})
-}
-
-// matrixRequest is the /matrix body: distances from every source to
-// every target, streamed row by row.
-type matrixRequest struct {
-	Sources []int `json:"sources"`
-	Targets []int `json:"targets"`
-}
-
-// decodeMatrixBody parses and bounds-checks a /matrix request body for
-// an n-vertex index; shared by the single-process server and the
-// Router. On failure it writes the error response and returns
-// ok=false.
-func decodeMatrixBody(w http.ResponseWriter, r *http.Request, n int) (matrixRequest, bool) {
-	var req matrixRequest
-	r.Body = http.MaxBytesReader(w, r.Body, maxBatchBytes)
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		code := http.StatusBadRequest
-		if _, tooLarge := err.(*http.MaxBytesError); tooLarge {
-			code = http.StatusRequestEntityTooLarge
-		}
-		httpError(w, code, "body must be a JSON object {\"sources\":[...],\"targets\":[...]}: "+err.Error())
-		return req, false
-	}
-	if len(req.Sources) == 0 || len(req.Targets) == 0 {
-		httpError(w, http.StatusBadRequest, "sources and targets must both be non-empty")
-		return req, false
-	}
-	for _, id := range req.Sources {
-		if id < 0 || id >= n {
-			httpError(w, http.StatusBadRequest, fmt.Sprintf("vertex ids must be in [0,%d)", n))
-			return req, false
-		}
-	}
-	for _, id := range req.Targets {
-		if id < 0 || id >= n {
-			httpError(w, http.StatusBadRequest, fmt.Sprintf("vertex ids must be in [0,%d)", n))
-			return req, false
-		}
-	}
-	return req, true
-}
-
-// handleMatrix streams the sources × targets distance matrix as
-// NDJSON: one header line {"rows":N,"targets":[...]}, then one line
-// {"dists":[...],"u":u} per source (-1 marks unreachable pairs), each
-// flushed as it is written. The response never materializes more than
-// one row — a many-to-many query over a large index streams in
-// constant memory at both ends.
-func (s *Server) handleMatrix(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST a JSON {\"sources\":[...],\"targets\":[...]} body")
-		return
-	}
-	if s.rejectRichOnShard(w) {
-		return
-	}
-	sn := s.Acquire()
-	defer sn.Release()
-	req, ok := decodeMatrixBody(w, r, sn.fx.NumVertices())
-	if !ok {
-		return
-	}
-	s.queries.Add(int64(len(req.Sources)) * int64(len(req.Targets)))
-	if err := streamMatrix(w, req, sn.eng.MatrixRows); err != nil {
-		httpError(w, http.StatusInternalServerError, err.Error())
-	}
-}
-
-// The /matrix NDJSON lines. Field order is wire order.
-type (
-	matrixHeader struct {
-		Rows    int   `json:"rows"`
-		Targets []int `json:"targets"`
-	}
-	matrixRow struct {
-		Dists []float64 `json:"dists"`
-		U     int       `json:"u"`
-	}
-	matrixError struct {
-		Error string `json:"error"`
-	}
-)
-
-// streamMatrix writes one /matrix response from rows, a MatrixRows-shaped
-// producer (BatchEngine.MatrixRows, Router.Matrix): the single stream
-// writer behind both tiers, so both put the same bytes on the wire. The
-// header goes out with the first row, so a producer that fails before
-// emitting anything gets its error returned for the caller to answer
-// with a status. A failure after rows have flushed can no longer change
-// the status; it ends the stream with a terminal {"error": ...} line.
-func streamMatrix(w http.ResponseWriter, req matrixRequest, rows func(sources, targets []int, emit func(u int, dists []float64) error) error) error {
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	line := func(v any) error {
-		if err := enc.Encode(v); err != nil {
-			return err
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-		return nil
-	}
-	started := false
-	wire := &matrixRow{Dists: make([]float64, len(req.Targets))}
-	err := rows(req.Sources, req.Targets, func(u int, dists []float64) error {
-		if !started {
-			started = true
-			w.Header().Set("Content-Type", "application/x-ndjson")
-			if err := line(matrixHeader{Rows: len(req.Sources), Targets: req.Targets}); err != nil {
-				return err
-			}
-		}
-		for i, d := range dists {
-			if d == Infinity {
-				wire.Dists[i] = -1 // JSON has no +Inf
-			} else {
-				wire.Dists[i] = d
-			}
-		}
-		wire.U = u
-		return line(wire)
-	})
-	if err != nil && started {
-		enc.Encode(matrixError{Error: err.Error()})
-		return nil
-	}
-	return err
 }
 
 // A matrix block is the stretch of consecutive sources the router ships
@@ -1457,13 +1115,10 @@ type shardScanRequest struct {
 // Runs[i] to Targets[j], -1 for unreachable as every wire format here
 // uses.
 type shardScanResponse struct {
-	Generation uint64      `json:"generation"`
-	Epoch      uint64      `json:"epoch"`
-	Ident      uint64      `json:"ident"`
-	Vertices   int         `json:"n"`
-	Directed   bool        `json:"directed,omitempty"`
-	Neighbors  []Neighbor  `json:"neighbors,omitempty"`
-	Rows       [][]float64 `json:"rows,omitempty"`
+	shardStamp
+	Vertices  int         `json:"n"`
+	Neighbors []Neighbor  `json:"neighbors,omitempty"`
+	Rows      [][]float64 `json:"rows,omitempty"`
 }
 
 // handleShardScan serves the internal scan protocol behind the
@@ -1481,19 +1136,14 @@ func (s *Server) handleShardScan(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	req := shardScanRequest{Exclude: -1}
-	r.Body = http.MaxBytesReader(w, r.Body, maxBatchBytes)
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		code := http.StatusBadRequest
-		if _, tooLarge := err.(*http.MaxBytesError); tooLarge {
-			code = http.StatusRequestEntityTooLarge
-		}
-		httpError(w, code, "body must be a JSON object {\"run\":...,\"k\":...} or {\"runs\":[...],\"targets\":[...]}: "+err.Error())
+	if err := decodeBody(w, r, &req, `a JSON object {"run":...,"k":...} or {"runs":[...],"targets":[...]}`); err != nil {
+		writeError(w, err)
 		return
 	}
 	sn := s.Acquire()
 	defer sn.Release()
 	n := sn.fx.NumVertices()
-	resp := shardScanResponse{Generation: sn.gen, Epoch: s.epoch, Ident: sn.ident, Vertices: n, Directed: sn.fx.Directed()}
+	resp := shardScanResponse{shardStamp: sn.stamp(), Vertices: n}
 	if len(req.Runs) == 0 {
 		if len(req.Targets) > 0 {
 			httpError(w, http.StatusBadRequest, "targets need a block of runs")
@@ -1533,8 +1183,8 @@ func (s *Server) handleShardScan(w http.ResponseWriter, r *http.Request) {
 			httpError(w, http.StatusBadRequest, fmt.Sprintf("vertex id %d out of range [0,%d)", t, n))
 			return
 		}
-		if !s.owns(t) {
-			s.misdirected(w, t)
+		if err := s.misroute(t); err != nil {
+			writeError(w, err)
 			return
 		}
 	}
@@ -1626,14 +1276,4 @@ func boolGauge(b bool) float64 {
 		return 1
 	}
 	return 0
-}
-
-func httpError(w http.ResponseWriter, code int, msg string) {
-	writeJSON(w, code, map[string]string{"error": msg})
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(v)
 }

@@ -548,6 +548,7 @@ func TestUpdateEndpointGuards(t *testing.T) {
 			"garbage":             {"del", http.StatusBadRequest},
 			"empty":               {"\n\n", http.StatusBadRequest},
 			"out-of-range vertex": {"add 0 99999 2", http.StatusBadRequest},
+			"oversized":           {strings.Repeat("# padding line\n", 1<<20), http.StatusRequestEntityTooLarge},
 		} {
 			if got := postRaw(t, ts.URL+"/update", want.body); got != want.code {
 				t.Fatalf("router /update %s: status %d, want %d", name, got, want.code)
